@@ -31,10 +31,14 @@ run would own.  The batch layer adds two things on top:
   per-round scratch lists shared across replicas, eliminating the per-round
   call/allocation overhead a scalar loop pays R times.  Any round outside
   that regime falls back to the replica's own ``Scheduler._step()`` — the
-  full engine, every semantic — so correctness never depends on the fused
-  loop covering a case.  The fused body mirrors ``_step_soa`` statement for
-  statement (``tests/test_batch_differential.py`` pins traces, positions,
-  statuses, and every metric bit-for-bit against scalar runs).
+  full engine, every semantic: untraced, that is ``_step_soa`` with its
+  riders and meet-sleeper wakes, or ``_step_general`` on a self-loop graph
+  — so correctness never depends on the fused loop covering a case.  The
+  fused body mirrors ``_step_soa`` statement for statement, except that
+  ``_step_soa``'s all-gathered closed form is left to the slices' generic
+  shared-node sweep, which builds the same card tuple
+  (``tests/test_batch_differential.py`` pins traces, positions, statuses,
+  and every metric bit-for-bit against scalar runs).
 
 Failure isolation matches the runtime layer's: an exception inside one
 replica (protocol violation, deadlock, timeout) retires that replica with
@@ -269,14 +273,14 @@ class ReplicaBatch:
         self.graph = graph
         self.ops = resolve_backend(backend)
         # CSR bindings shared by every replica's slice (one graph, one
-        # compiled kernel) and the six per-round scratch lists of
+        # compiled kernel) and the five per-round scratch lists of
         # Scheduler._step_soa, allocated once for the whole batch.
         csr = graph.csr
         self._row = csr.row_offsets
         self._nbr = csr.neighbor
         self._ent = csr.entry_port
         self._deg = csr.degree
-        self._scratch: tuple = ([], [], [], [], [], [])
+        self._scratch: tuple = ([], [], [], [], [])
         self.scheds: List[Optional[Scheduler]] = []
         self.outcomes: List[Optional[ReplicaOutcome]] = []
         # R-wide parallel views of each replica's SoA hot state; one tuple
@@ -401,8 +405,6 @@ class ReplicaBatch:
                         sched._step()  # fast-forward jump (or deadlock)
                         nxt.append(j)
                         continue
-                    if not sched._soa_auth:
-                        sched._states_to_soa()
 
                     # --- the hot slice -----------------------------------
                     # Everything that could end the fused regime at a known
@@ -474,16 +476,19 @@ class ReplicaBatch:
         including the closed-form single-duplicate extraction and the
         O(k log k) shared-node sweep — with the occupancy snapshot and the
         deferred counters kept in locals and flushed once per slice (the
-        ``finally``), and the six per-round scratch lists shared across all
+        ``finally``), and the five per-round scratch lists shared across all
         replicas of the batch.  Cold actions delegate to the scheduler's
         own ``_soa_cold`` after syncing the deferred state it reads.
+        ``_step_soa``'s all-gathered closed form is left to the sweep, which
+        builds the same tuple: it pays off for follower groups riding their
+        leader, and slices never run while followers exist.
         """
         pos, entry, mvs, own, sends, obs_l, labels, prev_pos = view
         row = self._row
         nbr = self._nbr
         ent = self._ent
         degA = self._deg
-        (movers_i, movers_p, terminators, followers_once, meet_new,
+        (movers_i, movers_p, terminators, followers_once,
          deactivated) = self._scratch
         scratch = self._scratch
         active = sched._active
@@ -586,16 +591,16 @@ class ReplicaBatch:
                         track = sched._soa_cold(
                             i, a, rnd, track,
                             movers_i, movers_p, terminators,
-                            followers_once, meet_new, deactivated,
-                            prev_pos,
+                            followers_once, deactivated, prev_pos,
                         )
                         ar_pending = sched._ar_pending
 
                 # --- commit (mirrors _step_soa's tail) -------------------
                 # Deactivations, follows, meet wake-ups, and terminations
                 # can only exist after a cold action (the outer gate
-                # excludes persistent followers), so the pure-hot commit is
-                # just the occupancy snapshot and the counters.
+                # excludes persistent followers and meet-sleepers), so the
+                # pure-hot commit is just the occupancy snapshot and the
+                # counters.
                 if cold:
                     if deactivated:
                         for rid in deactivated:
@@ -608,14 +613,8 @@ class ReplicaBatch:
                 posset = ps
                 occupied = len(ps)
                 if cold:
-                    if meet_new:
-                        arrivals = {pos[m] for m in movers_i}
-                        woken = sched._woken
-                        robots = sched.robots
-                        for rid in meet_new:
-                            if pos[rid] in arrivals:
-                                robots[rid].woken_early = True
-                                woken.append(rid)
+                    if sched._meet_sleepers and movers_i:
+                        sched._soa_wake_meet(movers_i)
                     if terminators:
                         # _terminate reads the committed round and
                         # occupancy; sync them first.
@@ -678,7 +677,7 @@ class ReplicaBatch:
         nbr = self._nbr
         ent = self._ent
         degA = self._deg
-        (movers_i, movers_p, terminators, followers_once, meet_new,
+        (movers_i, movers_p, terminators, followers_once,
          deactivated) = self._scratch
         scratch = self._scratch
         active = sched._active
@@ -747,8 +746,7 @@ class ReplicaBatch:
                         track = sched._soa_cold(
                             i, a, rnd, track,
                             movers_i, movers_p, terminators,
-                            followers_once, meet_new, deactivated,
-                            prev_pos,
+                            followers_once, deactivated, prev_pos,
                         )
                         ar_pending = sched._ar_pending
 
@@ -762,14 +760,8 @@ class ReplicaBatch:
                         )
                 occupied = 1 if pos[0] == pos[1] else 2
                 if cold:
-                    if meet_new:
-                        arrivals = {pos[m] for m in movers_i}
-                        woken = sched._woken
-                        robots = sched.robots
-                        for rid in meet_new:
-                            if pos[rid] in arrivals:
-                                robots[rid].woken_early = True
-                                woken.append(rid)
+                    if sched._meet_sleepers and movers_i:
+                        sched._soa_wake_meet(movers_i)
                     if terminators:
                         sched.round = rnd
                         sched._posset = set(pos)

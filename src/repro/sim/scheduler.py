@@ -43,24 +43,32 @@ that must call a Python generator per element (see ``docs/PERF.md``).
 
 Two regimes share those arrays:
 
-* the **SoA hot loop** (:meth:`_step_soa`) runs whenever a round needs no
-  tracing, no activation policy, has no persistent followers, no
-  ``wake_on_meet`` sleepers, and the graph has no self-loop.  It applies
-  moves *inline* during the observation sweep (legal because an
+* the **SoA hot loop** (:meth:`_step_soa`) runs every round except traced
+  rounds, activation-model rounds, rounds on a graph with a self-loop, and
+  every round of the ``incremental`` pin (``_soa_enabled = False``).  It
+  applies moves *inline* during the observation sweep (legal because an
   observation depends on other robots only through start-of-round
   occupancy, which is read from pre-round state), detects co-location with
   one C-level ``set(pos)`` per round instead of per-move occupancy
   bookkeeping, and resolves the dominant "one shared node" case with a
   closed-form duplicate extraction (``sum(pos) - sum(prev_pos_set)``).
   Rare action kinds (sleep/follow/terminate/cards) drop into cold helpers
-  that reconstruct whatever the inline sweep skipped.
+  that reconstruct whatever the inline sweep skipped.  While persistent
+  followers or ``wake_on_meet`` sleepers exist, the sweep records its
+  movers from round start: persistent followers then *ride* their
+  leader's move through a cached, label-sorted list of each leader's
+  transitive followers (its **riders**, rebuilt only when the
+  leader->followers index changes), and every meet-sleeper on a node that
+  received an arrival is flagged to wake.
 * the **general path** (the pre-SoA incremental engine, preserved in
   :meth:`_step_general`) handles traced runs, activation models, and
-  follower/meet rounds with per-node occupant lists and card-tuple caches.
+  self-loop graphs with per-node occupant lists and card-tuple caches.
 
-``RobotState`` attribute state is synchronized with the arrays only at
-regime transitions and run boundaries (the "facade at the trace boundary"):
-``_soa_to_states`` / ``_states_to_soa`` are O(k) and transitions are rare.
+``RobotState`` attribute state is synchronized with the arrays only at run
+boundaries and, in a run whose rounds take the general path, once at its
+first general round (``_soa_to_states``, O(k)) -- the "facade at the trace
+boundary".  The regime gate reads only per-run settings, so a run never
+moves from the general path back to the SoA loop.
 Wake-ups are driven by a precomputed **wake schedule** — a min-heap of
 ``(wake_round, rid)`` pushed at sleep/follow time — so rounds where nobody
 is due skip the per-robot wake scan entirely, and fast-forward jumps read
@@ -168,6 +176,11 @@ class Scheduler:
         # is not required; cascade/propagation order is label-sorted where
         # it matters)
         self._followers_of: Dict[int, List[RobotState]] = {}
+        # the rider cache: rid of every leader that is not itself following
+        # -> label-sorted rids of its transitive persistent followers; None
+        # once _followers_of changes (the next SoA round with followers
+        # rebuilds it)
+        self._riders: Optional[Dict[int, List[int]]] = None
         # robots currently SLEEPING with wake_on_meet; while zero, the move
         # loop skips arrival tracking entirely
         self._meet_sleepers = 0
@@ -275,22 +288,6 @@ class Scheduler:
         self._occ = occ
         self._cards = [None] * self.graph.n
         self._soa_auth = False
-
-    def _states_to_soa(self) -> None:
-        """General -> SoA transition: arrays rebuilt from the facades."""
-        pos = self._pos
-        entry = self._entry
-        moves = self._moves
-        ar = self._ar
-        own = self._own
-        for i, r in enumerate(self.robots):
-            pos[i] = r.node
-            entry[i] = r.entry_port
-            moves[i] = r.moves
-            ar[i] = r.active_rounds
-            own[i] = (r.card,)
-        self._posset = set(pos)
-        self._soa_auth = True
 
     # ------------------------------------------------------------------
     # Main loop
@@ -436,8 +433,6 @@ class Scheduler:
             self._soa_enabled
             and self.activation is None
             and self.trace is None
-            and not self._followers_of
-            and self._meet_sleepers == 0
             and not self._has_selfloop
         ):
             self._step_soa(active_rids)
@@ -448,8 +443,6 @@ class Scheduler:
     # The SoA hot loop
     # ------------------------------------------------------------------
     def _step_soa(self, active: List[int]) -> None:
-        if not self._soa_auth:
-            self._states_to_soa()
         rnd = self.round
         csr = self._csr
         row = csr.row_offsets
@@ -469,7 +462,9 @@ class Scheduler:
         # is the robot's own persistent card tuple.  excess == 1: exactly
         # one node holds exactly two robots; extract it in closed form from
         # the previous round's position set (no per-node bookkeeping).
-        # excess >= 2: build the shared-node card map with one O(k) sweep.
+        # excess == k - 1: every robot shares one node (a gathered group
+        # riding its leader), whose cards are every card in label order.
+        # Otherwise build the shared-node card map with one O(k) sweep.
         excess = nrob - self._occupied
         shared_cards: Optional[Dict[int, Tuple[dict, ...]]] = None
         if excess == 0:
@@ -480,6 +475,9 @@ class Scheduler:
             i1 = pos.index(dup)
             i2 = pos.index(dup, i1 + 1)
             dup_cards = (own[i1][0], own[i2][0])
+        elif excess == nrob - 1:
+            dup = pos[0]
+            dup_cards = tuple([o[0] for o in own])
         else:
             dup = -1
             dup_cards = None
@@ -503,20 +501,20 @@ class Scheduler:
                     shared_cards[node] = tuple(own[j][0] for j in rids)
                 t += 1
 
-        # Cold actions (follow/meet-sleep) may need this round's movers,
-        # which the inline sweep does not record; keep the pre-round state
-        # so they can be reconstructed exactly (no self-loops in SoA mode,
-        # so "position changed" <=> "moved", and the entry port pins the
-        # unique edge taken).
+        # Riders and meet-sleeper wakes need this round's movers.  The sweep
+        # records them from round start while followers or meet-sleepers
+        # exist; otherwise a follow/meet-sleep appearing mid-sweep
+        # reconstructs them from the pre-round state (no self-loops in SoA
+        # mode, so "position changed" <=> "moved", and the entry port pins
+        # the unique edge taken).
         prev_pos = pos[:]
         self._ar_pending += 1
 
-        track = False
+        track = self._meet_sleepers > 0 or bool(self._followers_of)
         movers_i: List[int] = []
         movers_p: List[int] = []
         terminators: List[int] = []
         followers_once: List[int] = []
-        meet_new: List[int] = []
         # rids leaving the active set this round (sleep/follow); removal is
         # deferred because the loop iterates self._active itself
         deactivated: List[int] = []
@@ -565,7 +563,7 @@ class Scheduler:
                     track = self._soa_cold(
                         i, a, rnd, track,
                         movers_i, movers_p, terminators, followers_once,
-                        meet_new, deactivated, prev_pos,
+                        deactivated, prev_pos,
                     )
         else:
             for i in active:
@@ -612,30 +610,54 @@ class Scheduler:
                     track = self._soa_cold(
                         i, a, rnd, track,
                         movers_i, movers_p, terminators, followers_once,
-                        meet_new, deactivated, prev_pos,
+                        deactivated, prev_pos,
                     )
 
         if deactivated:
             for rid in deactivated:
                 self._active.remove(rid)
 
-        # --- resolve follows (rare: only when created this round) ------
-        if followers_once or self._followers_of:
+        # --- followers ride their leaders -------------------------------
+        # A single mover carrying riders (the paper's Lemma-4 groups)
+        # applies its cached rider list inline: label-sorted, it already is
+        # the general path's application order, and each inherited port is
+        # checked against the rider's own node (a non-co-located follower
+        # can inherit a port its node lacks).  follow_once rounds and rounds
+        # where several movers carry riders interleave chains, so they take
+        # the full propagation.
+        if followers_once:
             self._soa_resolve_follows(movers_i, movers_p, followers_once)
+        elif self._followers_of:
+            riders = self._riders
+            if riders is None:
+                riders = self._build_riders()
+            carriers = [k for k, i in enumerate(movers_i) if i in riders]
+            if len(carriers) == 1:
+                k = carriers[0]
+                p = movers_p[k]
+                for f in riders[movers_i[k]]:
+                    node = pos[f]
+                    if not 0 <= p < deg[node]:
+                        raise PortGraphError(
+                            f"node {node} has degree {deg[node]}; port {p} is invalid"
+                        )
+                    j = row[node] + p
+                    pos[f] = nbr[j]
+                    entry[f] = ent[j]
+                    mvs[f] += 1
+                    movers_i.append(f)
+                    movers_p.append(p)
+            elif carriers:
+                self._soa_resolve_follows(movers_i, movers_p, followers_once)
 
         # --- commit occupancy ------------------------------------------
         ps = set(pos)
         self._posset = ps
         self._occupied = len(ps)
 
-        # --- wake meet-sleepers created this round on arrivals ---------
-        if meet_new:
-            arrivals = {pos[j] for j in movers_i}
-            woken = self._woken
-            for rid in meet_new:
-                if pos[rid] in arrivals:
-                    self.robots[rid].woken_early = True
-                    woken.append(rid)
+        # --- wake meet-sleepers on arrivals ----------------------------
+        if self._meet_sleepers and movers_i:
+            self._soa_wake_meet(movers_i)
 
         # --- terminations + cascade ------------------------------------
         if terminators:
@@ -706,7 +728,6 @@ class Scheduler:
         movers_p: List[int],
         terminators: List[int],
         followers_once: List[int],
-        meet_new: List[int],
         deactivated: List[int],
         prev_pos: List[int],
     ) -> bool:
@@ -714,10 +735,10 @@ class Scheduler:
         card/note-carrying moves and stays, sleeps, follows, terminates.
 
         Returns the (possibly enabled) mover-tracking flag: follow and
-        meet-sleep actions need this round's movers, so on their first
-        appearance the movers applied so far are reconstructed and tracking
-        stays on for the rest of the sweep.  (Notes are trace-only and the
-        SoA regime never runs traced, so they are ignored here.)
+        meet-sleep actions need this round's movers, so if tracking is off
+        when one appears, the movers applied so far are reconstructed and
+        tracking stays on for the rest of the sweep.  (Notes are trace-only
+        and the SoA regime never runs traced, so they are ignored here.)
         """
         r = self.robots[i]
         if action.card is not None:
@@ -765,7 +786,6 @@ class Scheduler:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
             if action.wake_on_meet:
                 self._meet_sleepers += 1
-                meet_new.append(i)
                 if not track:
                     mi, mp = self._soa_reconstruct_movers(prev_pos)
                     movers_i[:] = mi
@@ -782,7 +802,7 @@ class Scheduler:
             deactivated.append(i)
             if action.wake_round is not None:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
-            self._followers_of.setdefault(action.target, []).append(r)
+            self._add_follower(r, action.target)
             if not track:
                 mi, mp = self._soa_reconstruct_movers(prev_pos)
                 movers_i[:] = mi
@@ -818,6 +838,33 @@ class Scheduler:
             raise ProtocolViolation(
                 f"robot {label}: follow target {target} is not co-located"
             )
+
+    def _build_riders(self) -> Dict[int, List[int]]:
+        """Rebuild the rider cache from the leader->followers index.
+
+        Keys are the rids of leaders that are not themselves following
+        (only those can move on their own); values are the label-sorted
+        rids of all their transitive persistent followers.  Each follower
+        has one leader, so below such a root the followers form a tree
+        and the walk visits each of them once.
+        """
+        followers_of = self._followers_of
+        by_label = self.by_label
+        riders: Dict[int, List[int]] = {}
+        for label in followers_of:
+            leader = by_label[label]
+            if leader.status == FOLLOWING:
+                continue  # a chain link: rides with its own root
+            acc: List[int] = []
+            stack = [label]
+            while stack:
+                for f in followers_of.get(stack.pop(), ()):
+                    acc.append(f.rid)
+                    stack.append(f.label)
+            acc.sort()  # rid order == label order
+            riders[leader.rid] = acc
+        self._riders = riders
+        return riders
 
     def _soa_resolve_follows(
         self,
@@ -876,6 +923,18 @@ class Scheduler:
             mvs[fid] += 1
             movers_i.append(fid)
             movers_p.append(port)
+
+    def _soa_wake_meet(self, movers_i: List[int]) -> None:
+        """Flag every ``wake_on_meet`` sleeper on a node that received an
+        arrival this round (follower arrivals included) to wake next round
+        — the general path's rule, over the position array."""
+        pos = self._pos
+        arrivals = {pos[j] for j in movers_i}
+        woken = self._woken
+        for r in self.robots:
+            if r.status == SLEEPING and r.wake_on_meet and pos[r.rid] in arrivals:
+                r.woken_early = True
+                woken.append(r.rid)
 
     # ------------------------------------------------------------------
     # The general path (the pre-SoA incremental engine)
@@ -993,7 +1052,7 @@ class Scheduler:
                 self._active.remove(r.rid)
                 if action.wake_round is not None:
                     heapq.heappush(self._wake_heap, (action.wake_round, r.rid))
-                self._followers_of.setdefault(action.target, []).append(r)
+                self._add_follower(r, action.target)
                 if trace is not None:
                     trace.record(rnd, "follow", r.label, action.target)
             elif kind == FOLLOW_ONCE:
@@ -1183,6 +1242,11 @@ class Scheduler:
             arrivals.add(new)
         return entry
 
+    def _add_follower(self, r: RobotState, target: int) -> None:
+        """Enter ``r`` into the reverse leader->followers index."""
+        self._followers_of.setdefault(target, []).append(r)
+        self._riders = None
+
     def _unfollow(self, r: RobotState) -> None:
         """Drop ``r`` from the reverse leader->followers index."""
         lst = self._followers_of.get(r.leader_label)
@@ -1193,6 +1257,7 @@ class Scheduler:
                 pass
             if not lst:
                 del self._followers_of[r.leader_label]
+        self._riders = None
 
     def _terminate(self, r: RobotState) -> None:
         if r.status == TERMINATED:

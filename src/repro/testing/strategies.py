@@ -11,6 +11,8 @@ draw from one vocabulary:
 * :data:`step_strategy` / :data:`script_strategy` / :func:`scripts` —
   scripted robot programs exercising every scheduler cold path (moves,
   stays, sleeps, wake-on-meet, whiteboard cards, termination);
+* :func:`follower_scripts` — whole fleets of such scripts that also follow
+  each other (persistent and one-round follows, chains, cycles);
 * :func:`scripted_factory` — compile a drawn script into a robot factory;
 * :func:`placements` — start nodes for ``k`` robots on a given graph;
 * :data:`fault_plan_strategy` — crash/delay tables in the
@@ -39,6 +41,7 @@ __all__ = [
     "step_strategy",
     "script_strategy",
     "scripts",
+    "follower_scripts",
     "scripted_factory",
     "placements",
     "fault_plan_strategy",
@@ -91,8 +94,39 @@ def scripts(min_size: int = 1, max_size: int = 10):
 script_strategy = scripts()
 
 
+def follower_scripts(k: int, max_size: int = 10):
+    """A strategy for the scripts of ``k >= 2`` robots labeled ``1..k``.
+
+    Steps are :data:`step_strategy`'s plus follows, each targeting another
+    robot's label: persistent ``follow`` (untimed, or timed by a delay
+    rebased like a sleep's; ``on_leader_terminate`` ``"terminate"`` or
+    ``"wake"``) and one-round ``follow_once``.  Targets need not be
+    co-located, so run these with ``strict=False``.
+    """
+
+    def script(label: int):
+        others = st.sampled_from([t for t in range(1, k + 1) if t != label])
+        follow = st.one_of(
+            st.tuples(
+                st.just("follow"),
+                others,
+                st.none() | st.integers(0, 9),
+                st.sampled_from(["terminate", "wake"]),
+            ),
+            st.tuples(st.just("follow_once"), others),
+        )
+        return st.lists(st.one_of(step_strategy, follow), min_size=1, max_size=max_size)
+
+    return st.tuples(*(script(label) for label in range(1, k + 1))).map(list)
+
+
 def scripted_factory(script):
-    """Compile a drawn script into a robot factory (terminates at the end)."""
+    """Compile a drawn script into a robot factory (terminates at the end).
+
+    A persistent follow suspends the script until the follower wakes (its
+    timer, or its leader terminating in ``"wake"`` mode); in
+    ``"terminate"`` mode the leader's termination ends it.
+    """
 
     def factory(ctx):
         def program():
@@ -109,6 +143,13 @@ def scripted_factory(script):
                     obs = yield Action.sleep(obs.round + 1 + step[1], wake_on_meet=True)
                 elif kind == "card":
                     obs = yield Action.stay(card={"v": step[1]})
+                elif kind == "follow":
+                    until = None if step[2] is None else obs.round + 1 + step[2]
+                    obs = yield Action.follow(
+                        step[1], until_round=until, on_leader_terminate=step[3]
+                    )
+                elif kind == "follow_once":
+                    obs = yield Action.follow_once(step[1])
             yield Action.terminate()
 
         return program()

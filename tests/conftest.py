@@ -18,6 +18,7 @@ from repro.sim.world import World, RunResult
 from repro.testing.strategies import (  # noqa: F401
     activation_strategy,
     fault_plan_strategy,
+    follower_scripts,
     placements,
     random_port_graph,
     script_strategy,

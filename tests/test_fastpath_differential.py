@@ -29,6 +29,7 @@ from repro.core.undispersed import undispersed_gathering_program
 from repro.core.uxs_gathering import uxs_gathering_program
 from repro.ext.faults import FaultPlan
 from repro.graphs import generators as gg
+from repro.graphs.port_graph import PortGraphError
 from repro.runtime.spec import materialize
 from repro.scenarios import get_scenario, scenario_names
 from repro.sim.activation import build_activation
@@ -40,6 +41,7 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecorder
 from tests.conftest import (
     fault_plan_strategy,
+    follower_scripts,
     scaled_examples,
     script_strategy,
     scripted_factory,
@@ -88,6 +90,7 @@ def _state_digest(sched):
         sched.positions(),
         sched.round,
         {r.label: r.status for r in sched.robots},
+        {r.label: r.entry_port for r in sched.robots},
         _metrics_dict(sched),
     )
 
@@ -437,6 +440,40 @@ def test_scripted_robots_bit_identical(graph_pick, scripts, data):
     run_both(graph, make_specs, max_rounds=10_000)
 
 
+@given(st.integers(0, 3), st.integers(2, 4).flatmap(follower_scripts), st.data())
+@settings(max_examples=scaled_examples(150), deadline=None)
+def test_follower_scripts_untraced_bit_identical(graph_pick, scripts, data):
+    """Scripted fleets that follow each other — persistent (timed and
+    untimed, both ``on_leader_terminate`` modes) and one-round, chains and
+    cycles, leaders on other nodes — run untraced and non-strict, so the
+    SoA riders carry them: rider-cache invalidation on every follow, wake
+    and termination, and followers inheriting a port their own node lacks.
+    The state digests must match the seed's, or both runs must raise the
+    same exception with the same message."""
+    graph = [gg.ring(6), gg.path(5), gg.star(6), gg.erdos_renyi(7, seed=3)][graph_pick]
+    starts = [
+        data.draw(st.integers(0, graph.n - 1), label=f"start{i}")
+        for i in range(len(scripts))
+    ]
+    outcomes = []
+    for cls in (Scheduler, ReferenceScheduler):
+        sched = cls(
+            graph,
+            [
+                RobotSpec(label=i + 1, start=s, factory=scripted_factory(sc))
+                for i, (s, sc) in enumerate(zip(starts, scripts))
+            ],
+            strict=False,
+        )
+        try:
+            sched.run(max_rounds=10_000)
+        except Exception as exc:
+            outcomes.append(("raised", type(exc), str(exc)))
+        else:
+            outcomes.append(("ran", _state_digest(sched)))
+    assert outcomes[0] == outcomes[1]
+
+
 # ---------------------------------------------------------------------------
 # Untraced differential: the SoA hot loop on real algorithms
 # ---------------------------------------------------------------------------
@@ -445,8 +482,28 @@ def test_scripted_robots_bit_identical(graph_pick, scripts, data):
 # trace=None and compare positions/statuses/round/metrics.
 
 
+@pytest.fixture
+def general_steps(monkeypatch):
+    """Rounds the optimized scheduler sent down ``_step_general``.
+
+    Untraced clean runs must stay on the SoA hot loop for every round —
+    Lemma-4 followers and ``wake_on_meet`` sleepers included — so the
+    matrix tests below pin this list empty.  (The seed scheduler overrides
+    ``_step`` wholesale and never reaches the spy.)
+    """
+    rounds = []
+    step_general = Scheduler._step_general
+
+    def spy(self, active_rids):
+        rounds.append(self.round)
+        return step_general(self, active_rids)
+
+    monkeypatch.setattr(Scheduler, "_step_general", spy)
+    return rounds
+
+
 @pytest.mark.parametrize("name,graph", FAMILY_INSTANCES, ids=IDS)
-def test_matrix_faster_untraced_soa(name, graph):
+def test_matrix_faster_untraced_soa(name, graph, general_steps):
     k = graph.n // 2 + 1
     starts = dispersed_random(graph, k, seed=44)
     labels = assign_labels(k, graph.n, seed=44)
@@ -459,10 +516,11 @@ def test_matrix_faster_untraced_soa(name, graph):
 
     fast = run_both_untraced(graph, make_specs)
     assert fast.all_terminated(), name
+    assert general_steps == [], name
 
 
 @pytest.mark.parametrize("name,graph", FAMILY_INSTANCES, ids=IDS)
-def test_matrix_uxs_untraced_soa(name, graph):
+def test_matrix_uxs_untraced_soa(name, graph, general_steps):
     starts = dispersed_random(graph, 3, seed=43)
     labels = assign_labels(3, graph.n, seed=43)
 
@@ -474,6 +532,7 @@ def test_matrix_uxs_untraced_soa(name, graph):
 
     fast = run_both_untraced(graph, make_specs)
     assert fast.all_terminated(), name
+    assert general_steps == [], name
 
 
 def test_follow_cascade_untraced_soa():
@@ -516,6 +575,143 @@ def test_follow_cascade_untraced_soa():
 
     fast = run_both_untraced(g, make_specs)
     assert fast.all_terminated()
+
+
+def test_riders_fail_in_label_order_untraced_soa():
+    """Two followers on other nodes inherit a port their leaves lack.  The
+    rider that fails first — hence the error message — is the smaller
+    label, although it started following later (so it sits second in the
+    leader's follower list)."""
+    g = gg.star(6)
+    center = max(range(g.n), key=g.degree)
+    leaf_a, leaf_b = [v for v in range(g.n) if v != center][:2]
+
+    def leader(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        obs = yield Action.stay()
+        obs = yield Action.move(2)  # valid at the center, not on a leaf
+        yield Action.terminate()
+
+    def follower(delay):
+        def prog(ctx):
+            obs = yield
+            for _ in range(delay):
+                obs = yield Action.stay()
+            yield Action.follow(5)
+
+        return prog
+
+    outcomes = []
+    for cls in (Scheduler, ReferenceScheduler):
+        sched = cls(
+            g,
+            [
+                _spec(5, center, leader),
+                _spec(3, leaf_a, follower(0)),  # follows first
+                _spec(2, leaf_b, follower(1)),  # follows second, smaller label
+            ],
+        )
+        with pytest.raises(PortGraphError) as exc:
+            sched.run(max_rounds=50)
+        outcomes.append((str(exc.value), sched.positions()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == f"node {leaf_b} has degree 1; port 2 is invalid"
+
+
+def _leader(port, rounds):
+    def prog(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        for _ in range(rounds):
+            obs = yield Action.move(port)
+        yield Action.terminate()
+
+    return prog
+
+
+def _follower(target):
+    def prog(ctx):
+        obs = yield
+        yield Action.follow(target)
+
+    return prog
+
+
+def test_two_carriers_untraced_soa(general_steps):
+    """Two leaders carrying riders move in the same round, so the riders
+    take the full propagation: a chain and a single follower ride their
+    own leaders; then, on a star, the riders of both leaders apply
+    interleaved in label order up to the first invalid inherited port."""
+    def ring_specs():
+        return [
+            _spec(6, 0, _leader(0, 3)),
+            _spec(5, 0, _follower(6)),
+            _spec(1, 0, _follower(5)),  # a chain: 1 -> 5 -> 6
+            _spec(8, 4, _leader(1, 3)),
+            _spec(3, 4, _follower(8)),
+        ]
+
+    fast = run_both_untraced(gg.ring(8), ring_specs)
+    assert fast.all_terminated()
+
+    g = gg.star(6)
+    center = max(range(g.n), key=g.degree)
+    leaf_a, leaf_b, leaf_c = [v for v in range(g.n) if v != center][:3]
+    outcomes = []
+    for cls in (Scheduler, ReferenceScheduler):
+        sched = cls(
+            g,
+            [
+                _spec(6, center, _leader(3, 1)),
+                _spec(4, leaf_a, _follower(6)),  # port 3 on a leaf: invalid
+                _spec(8, leaf_b, _leader(0, 1)),
+                _spec(2, leaf_c, _follower(8)),  # port 0 on a leaf: applies first
+            ],
+        )
+        with pytest.raises(PortGraphError) as exc:
+            sched.run(max_rounds=50)
+        outcomes.append((str(exc.value), sched.positions()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == f"node {leaf_a} has degree 1; port 3 is invalid"
+    assert outcomes[0][1][2] == center
+    assert general_steps == []
+
+
+def test_gathered_group_cards_untraced_soa(general_steps):
+    """Four robots on one node see every card in label order — standing
+    together, then as a group riding its leader (the all-gathered closed
+    form of the SoA snapshot).  The observed card tuples are recorded
+    round by round and must equal the seed's."""
+    g = gg.ring(6)
+
+    def robot(label, seen):
+        def prog(ctx):
+            obs = yield
+            obs = yield Action.stay(card={"v": 10 * label})
+            for _ in range(2):
+                seen.append((label, obs.round, tuple(sorted(c.items()) for c in obs.cards)))
+                obs = yield Action.stay()
+            if label != 7:
+                yield Action.follow(7)
+                return
+            for _ in range(3):
+                seen.append((label, obs.round, tuple(sorted(c.items()) for c in obs.cards)))
+                obs = yield Action.move(0)
+            yield Action.terminate()
+
+        return prog
+
+    observed = []
+    for cls in (Scheduler, ReferenceScheduler):
+        seen = []
+        sched = cls(g, [_spec(label, 0, robot(label, seen)) for label in (9, 4, 7, 2)])
+        sched.run(max_rounds=50)
+        assert sched.all_terminated()
+        observed.append(seen)
+    assert observed[0] == observed[1]
+    assert len(observed[0]) == 11
+    assert general_steps == []
 
 
 def test_meet_sleep_mid_sweep_untraced_soa():
