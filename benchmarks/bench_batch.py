@@ -9,8 +9,8 @@ of one :class:`~repro.runtime.RunSpec` — executed two ways through the same
   per-round loop, and record assembly on its own;
 * ``batch``  — the lockstep replica engine (``engine="batch-numpy"`` /
   ``engine="batch-list"``): one shared graph + CSR kernel, graph-pure checks paid
-  once, a fused round loop with per-turn gate amortization, and a
-  per-graph BFS memo for the pair-distance column;
+  once, each replica advanced by one ``Scheduler._step_soa`` call per
+  lockstep turn, and a per-graph BFS memo for the pair-distance column;
 * ``numpy2d`` — the replica-major engine (``engine="batch-numpy2d"``):
   the probe program is a :class:`~repro.sim.vector.VectorProgram`, so
   whole replicas execute as R×k array kernels over the shared CSR (one

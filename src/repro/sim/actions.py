@@ -43,7 +43,14 @@ _KIND_NAMES = {
 
 
 class Action:
-    """One robot decision for one round.  Use the factory classmethods."""
+    """One robot decision for one round.  Use the factory classmethods.
+
+    Actions are immutable values: nothing may change an action's fields
+    after a factory returns it.  Factories may therefore return shared
+    instances -- a plain ``move(p)`` (an exact ``int`` port, 0 <= p < 64,
+    no card, no note) and a plain ``stay()`` always return the same
+    object -- so programs must not rely on an action's identity.
+    """
 
     __slots__ = (
         "kind",
@@ -88,11 +95,17 @@ class Action:
     @classmethod
     def stay(cls, card: Optional[Dict[str, Any]] = None, note: Optional[str] = None) -> "Action":
         """Remain on the current node this round."""
+        if card is None and note is None:
+            return _STAY_ACTION
         return cls(STAY, card=card, note=note)
 
     @classmethod
     def move(cls, port: int, card: Optional[Dict[str, Any]] = None, note: Optional[str] = None) -> "Action":
         """Move through ``port`` at the end of this round."""
+        # only an exact int is shared: True and 1.0 compare equal to 1 but
+        # must reach the scheduler (and its invalid-port error) as given
+        if card is None and note is None and type(port) is int and 0 <= port < _SHARED_PORTS:
+            return _MOVE_ACTIONS[port]
         return cls(MOVE, port=port, card=card, note=note)
 
     @classmethod
@@ -169,6 +182,12 @@ class Action:
         if self.wake_round is not None:
             parts.append(f"wake={self.wake_round}")
         return f"Action({', '.join(parts)})"
+
+
+#: Plain moves through ports below this bound are pre-built and shared.
+_SHARED_PORTS = 64
+_STAY_ACTION = Action(STAY)
+_MOVE_ACTIONS = tuple(Action(MOVE, port=p) for p in range(_SHARED_PORTS))
 
 
 class Observation:

@@ -5,40 +5,31 @@ the same graph and program run under dozens of seeds (different placements,
 labels, and program randomness).  Running each replica through its own
 :class:`~repro.sim.world.World` pays the full scheduler overhead R times;
 this module runs R replicas **in lockstep** over shared immutable data —
-one graph, one compiled CSR kernel, one set of hoisted adjacency bindings —
-and retires replicas individually as they terminate.
+one graph and its compiled CSR kernel — and retires replicas
+individually as they terminate.
 
 Architecture
 ------------
 
 Each replica is backed by a real :class:`~repro.sim.scheduler.Scheduler`
 (sharing the one graph), so every replica owns exactly the state a scalar
-run would own.  The batch layer adds two things on top:
+run would own, and every round runs through that scheduler's own code.
+The batch layer adds two things on top:
 
-* **R-wide parallel hot-state views** — ``_views[j]`` caches replica
-  ``j``'s struct-of-arrays hot state (``_pos``/``_entry``/``_moves``/
-  ``_own``/``_sends``/``_obs``/``_labels``) as one tuple, so the lockstep
-  loop reaches each replica's arrays without per-round attribute walks —
-  plus backend-managed R-wide bookkeeping arrays (per-replica rounds,
-  moves, executed-round and error counters).  The bookkeeping backend is
-  NumPy when importable and a pure-list implementation otherwise; both are
-  integer-exact, so results are bit-identical either way (the differential
-  suite runs both).
-* **A fused round loop** — the common regime of
-  :meth:`Scheduler._step_soa` (every due robot active, at most one shared
-  node, no pending wakes/followers/meet-sleepers, no self-loop) is inlined
-  here with the CSR bindings hoisted *once for all replicas* and the
-  per-round scratch lists shared across replicas, eliminating the per-round
-  call/allocation overhead a scalar loop pays R times.  Any round outside
-  that regime falls back to the replica's own ``Scheduler._step()`` — the
-  full engine, every semantic: untraced, that is ``_step_soa`` with its
-  riders and meet-sleeper wakes, or ``_step_general`` on a self-loop graph
-  — so correctness never depends on the fused loop covering a case.  The
-  fused body mirrors ``_step_soa`` statement for statement, except that
-  ``_step_soa``'s all-gathered closed form is left to the slices' generic
-  shared-node sweep, which builds the same card tuple
-  (``tests/test_batch_differential.py`` pins traces, positions, statuses,
-  and every metric bit-for-bit against scalar runs).
+* **Lockstep turns** — the driver visits the live replicas in order,
+  applies ``Scheduler.run``'s gates (terminated, gathered under
+  ``stop_on_gather``, past ``max_rounds``) exactly as a scalar run would,
+  and advances each replica by one :meth:`Scheduler._step_soa` call
+  bounded by :data:`ReplicaBatch.SLICE` rounds (one ``_step`` per turn on
+  a graph with a self-loop, the general regime).  The turn size is only
+  a scheduling knob: replicas are independent, so it cannot change any
+  result.
+* **R-wide bookkeeping** — per-replica rounds, moves, executed-round and
+  error counters, filled when a replica retires and aggregated once.  The
+  backend is NumPy when importable and a pure-list implementation
+  otherwise; both are integer-exact, so results are bit-identical either
+  way (``tests/test_batch_differential.py`` runs both and pins traces,
+  positions, statuses and every metric against scalar runs).
 
 Failure isolation matches the runtime layer's: an exception inside one
 replica (protocol violation, deadlock, timeout) retires that replica with
@@ -57,8 +48,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.graphs.port_graph import PortGraph
-from repro.sim.actions import MOVE, STAY
-from repro.sim.errors import ProtocolViolation
 from repro.sim.robot import RobotSpec
 from repro.sim.scheduler import Scheduler
 from repro.sim.world import DEFAULT_MAX_ROUNDS, RunResult, package_result
@@ -272,20 +261,8 @@ class ReplicaBatch:
     ):
         self.graph = graph
         self.ops = resolve_backend(backend)
-        # CSR bindings shared by every replica's slice (one graph, one
-        # compiled kernel) and the five per-round scratch lists of
-        # Scheduler._step_soa, allocated once for the whole batch.
-        csr = graph.csr
-        self._row = csr.row_offsets
-        self._nbr = csr.neighbor
-        self._ent = csr.entry_port
-        self._deg = csr.degree
-        self._scratch: tuple = ([], [], [], [], [])
         self.scheds: List[Optional[Scheduler]] = []
         self.outcomes: List[Optional[ReplicaOutcome]] = []
-        # R-wide parallel views of each replica's SoA hot state; one tuple
-        # per replica so the fused loop unpacks 7 arrays in one indexed load
-        self._views: List[Optional[tuple]] = []
         for specs in fleets:
             # Construction (label validation, program priming) can raise per
             # replica; isolate it exactly like the scalar path would.
@@ -293,31 +270,17 @@ class ReplicaBatch:
                 sched = Scheduler(graph, list(specs), strict=strict)
             except Exception as exc:
                 self.scheds.append(None)
-                self._views.append(None)
                 self.outcomes.append(
                     ReplicaOutcome(error=str(exc), error_type=type(exc).__name__)
                 )
                 continue
             self.scheds.append(sched)
-            self._views.append(
-                (
-                    sched._pos,
-                    sched._entry,
-                    sched._moves,
-                    sched._own,
-                    sched._sends,
-                    sched._obs,
-                    sched._labels,
-                    [0] * len(sched._pos),  # reusable prev-position buffer
-                )
-            )
             self.outcomes.append(None)
         self.summary = BatchSummary(replicas=len(self.scheds), backend=self.ops.name)
 
     #: Rounds one replica may advance per lockstep turn.  Purely a
-    #: scheduling knob — replicas are independent, so the slice size cannot
-    #: affect any result; it only amortizes the per-turn gate checks and
-    #: view unpacking over many pure-hot rounds.
+    #: scheduling knob — replicas are independent, so the turn size cannot
+    #: affect any result.
     SLICE = 64
 
     # ------------------------------------------------------------------
@@ -331,20 +294,10 @@ class ReplicaBatch:
         ``max_rounds`` timeout (reported as an error outcome instead of a
         raised exception), the same finalized metrics.
 
-        The driver is a two-level loop.  The outer *turn* applies the full
-        gate stack — ``Scheduler.run``'s checks, then the regime checks of
-        ``_step`` — exactly as scalar execution would.  Once a replica is
-        known to be in the pure-hot regime, an inner *slice*
-        (:meth:`_slice_pair` for two-robot rendezvous fleets,
-        :meth:`_slice_general` otherwise) advances it up to :data:`SLICE`
-        rounds with everything hoisted: the CSR arrays, the replica's view
-        tuple, and a precomputed ``stop_round`` that folds the timeout
-        bound, the next scheduled wake, and the slice budget into one
-        comparison.  Pure-hot rounds (moves/stays only) cannot change any
-        gated state, so the hoisting is sound; the moment a *cold* action
-        appears (sleep/follow/terminate/card — handled through the
-        scheduler's own ``_soa_cold``) the slice ends after committing that
-        round, and the next turn re-evaluates every gate.
+        Each turn applies ``Scheduler.run``'s gates in its exact order, then
+        advances the replica by one ``_step_soa`` call that stops at the
+        turn budget, the timeout round, termination or (under
+        ``stop_on_gather``) gathering, whichever comes first.
         """
         ops = self.ops
         R = len(self.scheds)
@@ -356,13 +309,13 @@ class ReplicaBatch:
         error_arr = ops.zeros(R)
 
         scheds = self.scheds
-        views = self._views
         outcomes = self.outcomes
-        fused_ok = not self.graph.csr.has_self_loop
         slice_budget = self.SLICE
-        scratch = self._scratch
+        timeout_round = max_rounds + 1
 
         live = [j for j in range(R) if outcomes[j] is None]
+        for j in live:
+            scheds[j]._stop_on_gather = stop_on_gather
         # Replica-major front-run: subclasses (Replica2DBatch) may retire
         # whole replicas through array kernels before the lockstep loop ever
         # steps a generator.  The base engine keeps every replica.
@@ -376,59 +329,23 @@ class ReplicaBatch:
                 sched = scheds[j]
                 try:
                     # --- Scheduler.run loop gates, in its exact order ----
-                    if sched._alive == 0:
-                        self._retire(j, rounds_arr, executed_arr, moves_arr)
-                        continue
-                    if stop_on_gather and sched.metrics.first_gather_round is not None:
+                    if sched._alive == 0 or (
+                        stop_on_gather and sched.metrics.first_gather_round is not None
+                    ):
                         self._retire(j, rounds_arr, executed_arr, moves_arr)
                         continue
                     rnd = sched.round
                     if rnd > max_rounds:
                         raise sched._timeout_error()
-
-                    # --- regime gate (mirrors _step + _step_soa entry) ---
-                    # Wakes due or pending early-woken robots, followers,
-                    # meet-sleepers, or a self-loop graph: the replica's own
-                    # engine handles the round with full semantics.
-                    heap = sched._wake_heap
-                    if (
-                        not fused_ok
-                        or sched._woken
-                        or (heap and heap[0][0] <= rnd)
-                        or sched._followers_of
-                        or sched._meet_sleepers
-                    ):
-                        sched._step()
-                        nxt.append(j)
-                        continue
-                    if not sched._active:
-                        sched._step()  # fast-forward jump (or deadlock)
-                        nxt.append(j)
-                        continue
-
-                    # --- the hot slice -----------------------------------
-                    # Everything that could end the fused regime at a known
-                    # round folds into one bound: the timeout check fires at
-                    # max_rounds + 1, the earliest scheduled wake needs
-                    # _wake_due, and the slice budget caps the turn.  Cold
-                    # actions and gathering are detected inside the slice.
-                    stop_round = rnd + slice_budget
-                    if stop_round > max_rounds:
-                        stop_round = max_rounds + 1
-                    if heap and heap[0][0] < stop_round:
-                        stop_round = heap[0][0]
-                    view = views[j]
-                    if len(view[0]) == 2:
-                        self._slice_pair(sched, view, rnd, stop_round, stop_on_gather)
+                    if sched._soa:
+                        sched._step_soa(min(rnd + slice_budget, timeout_round))
                     else:
-                        self._slice_general(sched, view, rnd, stop_round, stop_on_gather)
+                        sched._step()
                     nxt.append(j)
                 except Exception as exc:
                     # Isolated failure: the same exception the scalar path
                     # would surface, stringified identically; siblings
-                    # keep running.  Scratch may be mid-round dirty.
-                    for lst in scratch:
-                        lst.clear()
+                    # keep running.
                     error_arr[j] = 1
                     outcomes[j] = ReplicaOutcome(
                         error=str(exc), error_type=type(exc).__name__
@@ -461,338 +378,6 @@ class ReplicaBatch:
         overrides this to retire hot replicas through array kernels.
         """
         return live
-
-    # ------------------------------------------------------------------
-    # Slices: the fused _step_soa body, amortized over many rounds
-    # ------------------------------------------------------------------
-    def _slice_general(
-        self, sched: Scheduler, view: tuple, rnd: int, stop_round: int,
-        stop_on_gather: bool,
-    ) -> None:
-        """Advance one replica through pure-hot rounds until ``stop_round``,
-        a cold action, gathering (under ``stop_on_gather``), or an error.
-
-        The body mirrors ``Scheduler._step_soa`` statement for statement —
-        including the closed-form single-duplicate extraction and the
-        O(k log k) shared-node sweep — with the occupancy snapshot and the
-        deferred counters kept in locals and flushed once per slice (the
-        ``finally``), and the five per-round scratch lists shared across all
-        replicas of the batch.  Cold actions delegate to the scheduler's
-        own ``_soa_cold`` after syncing the deferred state it reads.
-        ``_step_soa``'s all-gathered closed form is left to the sweep, which
-        builds the same tuple: it pays off for follower groups riding their
-        leader, and slices never run while followers exist.
-        """
-        pos, entry, mvs, own, sends, obs_l, labels, prev_pos = view
-        row = self._row
-        nbr = self._nbr
-        ent = self._ent
-        degA = self._deg
-        (movers_i, movers_p, terminators, followers_once,
-         deactivated) = self._scratch
-        scratch = self._scratch
-        active = sched._active
-        metrics = sched.metrics
-        first_gather = metrics.first_gather_round
-        nrob = len(pos)
-        occupied = sched._occupied
-        posset = sched._posset
-        ar_pending = sched._ar_pending
-        executed = 0
-        try:
-            while rnd < stop_round:
-                # start-of-round co-location snapshot (the excess-regime
-                # split of Scheduler._step_soa)
-                excess = nrob - occupied
-                if excess == 0:
-                    dup = -1
-                    dup_cards = None
-                    shared = None
-                elif excess == 1:
-                    dup = sum(pos) - sum(posset)
-                    i1 = pos.index(dup)
-                    i2 = pos.index(dup, i1 + 1)
-                    dup_cards = (own[i1][0], own[i2][0])
-                    shared = None
-                else:
-                    dup = -1
-                    dup_cards = None
-                    sp = sorted(pos)
-                    shared = {}
-                    remaining = excess
-                    t = 0
-                    last = nrob - 1
-                    while remaining:
-                        if sp[t] == sp[t + 1]:
-                            node = sp[t]
-                            rids = [pos.index(node)]
-                            while t < last and sp[t + 1] == node:
-                                rids.append(pos.index(node, rids[-1] + 1))
-                                t += 1
-                                remaining -= 1
-                            shared[node] = tuple(own[q][0] for q in rids)
-                        t += 1
-                prev_pos[:] = pos
-                ar_pending += 1
-                track = False
-                cold = False
-                for i in active:
-                    node = pos[i]
-                    ob = obs_l[i]
-                    ob.round = rnd
-                    ob.degree = dg = degA[node]
-                    ob.entry_port = entry[i]
-                    if shared is None:
-                        ob.cards = own[i] if node != dup else dup_cards
-                    else:
-                        cds = shared.get(node)
-                        ob.cards = own[i] if cds is None else cds
-                    try:
-                        a = sends[i](ob)
-                    except StopIteration:
-                        raise ProtocolViolation(
-                            f"robot {labels[i]}: program returned "
-                            f"without terminating"
-                        ) from None
-                    try:
-                        kind = a.hot_kind
-                    except AttributeError:
-                        if a is None:
-                            raise ProtocolViolation(
-                                f"robot {labels[i]}: yielded None "
-                                f"instead of an Action"
-                            ) from None
-                        raise
-                    if kind == MOVE:
-                        p = a.port
-                        try:
-                            ok = 0 <= p < dg
-                        except TypeError:  # port is None
-                            ok = False
-                        if not ok:
-                            raise ProtocolViolation(
-                                f"robot {labels[i]}: invalid port {p} "
-                                f"on a degree-{dg} node"
-                            )
-                        slot = row[node] + p
-                        pos[i] = nbr[slot]
-                        entry[i] = ent[slot]
-                        mvs[i] += 1
-                        if track:
-                            movers_i.append(i)
-                            movers_p.append(p)
-                    elif kind != STAY:
-                        # _soa_cold reads/flushes the deferred active-round
-                        # counter and (for terminations later this round)
-                        # the scheduler's round; sync both ways.
-                        cold = True
-                        sched._ar_pending = ar_pending
-                        sched.round = rnd
-                        track = sched._soa_cold(
-                            i, a, rnd, track,
-                            movers_i, movers_p, terminators,
-                            followers_once, deactivated, prev_pos,
-                        )
-                        ar_pending = sched._ar_pending
-
-                # --- commit (mirrors _step_soa's tail) -------------------
-                # Deactivations, follows, meet wake-ups, and terminations
-                # can only exist after a cold action (the outer gate
-                # excludes persistent followers and meet-sleepers), so the
-                # pure-hot commit is just the occupancy snapshot and the
-                # counters.
-                if cold:
-                    if deactivated:
-                        for rid in deactivated:
-                            active.remove(rid)
-                    if followers_once or sched._followers_of:
-                        sched._soa_resolve_follows(
-                            movers_i, movers_p, followers_once
-                        )
-                ps = set(pos)
-                posset = ps
-                occupied = len(ps)
-                if cold:
-                    if sched._meet_sleepers and movers_i:
-                        sched._soa_wake_meet(movers_i)
-                    if terminators:
-                        # _terminate reads the committed round and
-                        # occupancy; sync them first.
-                        sched.round = rnd
-                        sched._posset = ps
-                        sched._occupied = occupied
-                        sched._ar_pending = ar_pending
-                        sched._flush_ar()
-                        ar_pending = 0
-                        robots = sched.robots
-                        for rid in terminators:
-                            sched._terminate(robots[rid])
-                        sched._cascade_terminations()
-                executed += 1
-                rnd += 1
-                if first_gather is None and occupied == 1:
-                    first_gather = rnd - 1
-                    metrics.first_gather_round = first_gather
-                    if stop_on_gather:
-                        # the shared scratch must never leak into the next
-                        # replica's slice, whatever the exit path
-                        if cold:
-                            for lst in scratch:
-                                lst.clear()
-                        break
-                if cold:
-                    # Cold actions may invalidate every hoisted gate (new
-                    # wakes, followers, terminations); end the slice and
-                    # re-gate next turn.
-                    for lst in scratch:
-                        lst.clear()
-                    break
-        finally:
-            # One flush per slice: local state becomes the scheduler's
-            # truth again (also on the error path, so isolated failures
-            # report a consistent round).
-            sched.round = rnd
-            sched._posset = posset
-            sched._occupied = occupied
-            sched._ar_pending = ar_pending
-            metrics.rounds_executed += executed
-
-    def _slice_pair(
-        self, sched: Scheduler, view: tuple, rnd: int, stop_round: int,
-        stop_on_gather: bool,
-    ) -> None:
-        """:meth:`_slice_general` specialized for two-robot fleets.
-
-        ``k = 2`` is the paper's rendezvous configuration and the regime
-        where per-round scheduler overhead dominates the two program
-        activations, so it gets the leanest loop: co-location is one
-        position comparison (no ``set`` build, no index scans — the
-        duplicate node and both card tuples are immediate), and the
-        occupancy set is materialized only at slice exit and around
-        terminations.  Semantics are pinned by the same differential suite
-        as the general slice.
-        """
-        pos, entry, mvs, own, sends, obs_l, labels, prev_pos = view
-        row = self._row
-        nbr = self._nbr
-        ent = self._ent
-        degA = self._deg
-        (movers_i, movers_p, terminators, followers_once,
-         deactivated) = self._scratch
-        scratch = self._scratch
-        active = sched._active
-        metrics = sched.metrics
-        first_gather = metrics.first_gather_round
-        occupied = sched._occupied
-        ar_pending = sched._ar_pending
-        executed = 0
-        try:
-            while rnd < stop_round:
-                if occupied == 2:
-                    dup = -1
-                    dup_cards = None
-                else:  # both robots share the one occupied node
-                    dup = pos[0]
-                    dup_cards = (own[0][0], own[1][0])
-                prev_pos[:] = pos
-                ar_pending += 1
-                track = False
-                cold = False
-                for i in active:
-                    node = pos[i]
-                    ob = obs_l[i]
-                    ob.round = rnd
-                    ob.degree = dg = degA[node]
-                    ob.entry_port = entry[i]
-                    ob.cards = own[i] if node != dup else dup_cards
-                    try:
-                        a = sends[i](ob)
-                    except StopIteration:
-                        raise ProtocolViolation(
-                            f"robot {labels[i]}: program returned "
-                            f"without terminating"
-                        ) from None
-                    try:
-                        kind = a.hot_kind
-                    except AttributeError:
-                        if a is None:
-                            raise ProtocolViolation(
-                                f"robot {labels[i]}: yielded None "
-                                f"instead of an Action"
-                            ) from None
-                        raise
-                    if kind == MOVE:
-                        p = a.port
-                        try:
-                            ok = 0 <= p < dg
-                        except TypeError:  # port is None
-                            ok = False
-                        if not ok:
-                            raise ProtocolViolation(
-                                f"robot {labels[i]}: invalid port {p} "
-                                f"on a degree-{dg} node"
-                            )
-                        slot = row[node] + p
-                        pos[i] = nbr[slot]
-                        entry[i] = ent[slot]
-                        mvs[i] += 1
-                        if track:
-                            movers_i.append(i)
-                            movers_p.append(p)
-                    elif kind != STAY:
-                        cold = True
-                        sched._ar_pending = ar_pending
-                        sched.round = rnd
-                        track = sched._soa_cold(
-                            i, a, rnd, track,
-                            movers_i, movers_p, terminators,
-                            followers_once, deactivated, prev_pos,
-                        )
-                        ar_pending = sched._ar_pending
-
-                if cold:
-                    if deactivated:
-                        for rid in deactivated:
-                            active.remove(rid)
-                    if followers_once or sched._followers_of:
-                        sched._soa_resolve_follows(
-                            movers_i, movers_p, followers_once
-                        )
-                occupied = 1 if pos[0] == pos[1] else 2
-                if cold:
-                    if sched._meet_sleepers and movers_i:
-                        sched._soa_wake_meet(movers_i)
-                    if terminators:
-                        sched.round = rnd
-                        sched._posset = set(pos)
-                        sched._occupied = occupied
-                        sched._ar_pending = ar_pending
-                        sched._flush_ar()
-                        ar_pending = 0
-                        robots = sched.robots
-                        for rid in terminators:
-                            sched._terminate(robots[rid])
-                        sched._cascade_terminations()
-                executed += 1
-                rnd += 1
-                if first_gather is None and occupied == 1:
-                    first_gather = rnd - 1
-                    metrics.first_gather_round = first_gather
-                    if stop_on_gather:
-                        if cold:
-                            for lst in scratch:
-                                lst.clear()
-                        break
-                if cold:
-                    for lst in scratch:
-                        lst.clear()
-                    break
-        finally:
-            sched.round = rnd
-            sched._posset = set(pos)
-            sched._occupied = occupied
-            sched._ar_pending = ar_pending
-            metrics.rounds_executed += executed
 
     # ------------------------------------------------------------------
     def _retire(self, j: int, rounds_arr, executed_arr, moves_arr) -> None:

@@ -68,7 +68,7 @@ class Replica2DBatch(ReplicaBatch):
     """R replicas with a replica-major NumPy front-run (see module docs).
 
     Construction is exactly :class:`ReplicaBatch`'s (same per-replica
-    scheduler isolation, same views) plus one pass over the fleets to
+    scheduler isolation) plus one pass over the fleets to
     detect shared :class:`VectorProgram` factories.  ``backend`` is pinned
     to ``"numpy2d"`` — use :func:`repro.sim.batch.make_replica_batch` to
     select engines by name.
@@ -125,7 +125,7 @@ class Replica2DBatch(ReplicaBatch):
                 prog is None
                 or sched is None
                 or sched.round != 0
-                or not sched._soa_auth
+                or not sched._soa
                 or sched._alive != sched._nrob
                 or len(sched._active) != sched._nrob
                 or sched._wake_heap

@@ -109,8 +109,8 @@ class Engine(ABC):
     see instrumentation they did not claim.
 
     The stepwise protocol: :meth:`step` advances the simulation by at least
-    one round (a backend may advance further — the replica engine retires
-    whole slices), :attr:`done` reports completion, :meth:`sync_state`
+    one round (a backend may advance further — the replica engine runs
+    the whole request), :attr:`done` reports completion, :meth:`sync_state`
     makes label-level queries (:meth:`positions`) current mid-run, and
     :meth:`finalize` packages the finished run.  :meth:`run` drives the
     whole thing and is what ``World.run`` calls.

@@ -7,7 +7,7 @@ name          implementation                                             notes
 ============= ========================================================== =====
 reference     :class:`~repro.sim.reference.ReferenceScheduler`           the executable spec; the conformance oracle
 incremental   ``Scheduler`` pinned to the general path (PR-2 regime)     incremental occupancy/card caches, no SoA rounds
-soa           :class:`~repro.sim.scheduler.Scheduler` (default)          dual-regime: SoA hot loop + general fallback
+soa           :class:`~repro.sim.scheduler.Scheduler` (default)          dual-regime: SoA loop + general fallback
 batch-list    :class:`~repro.sim.batch.ReplicaBatch` (list backend)      lockstep replicas, pure-Python bookkeeping
 batch-numpy   :class:`~repro.sim.batch.ReplicaBatch` (numpy backend)     lockstep replicas, vectorized bookkeeping
 batch-numpy2d :class:`~repro.sim.batch2d.Replica2DBatch`                 replica-major 2D kernels + scalar fallback
@@ -107,13 +107,13 @@ class IncrementalScheduler(Scheduler):
     """``Scheduler`` pinned to the incremental general path (PR-2 regime).
 
     ``_uses_soa = False`` makes the :class:`~repro.sim.robot.RobotState`
-    facades authoritative from construction; ``_soa_enabled = False`` keeps
-    ``_step`` out of the SoA hot loop for every round.  Semantics are those
-    of the full scheduler — this class only forecloses the fast regime.
+    facades authoritative from construction and sends every round through
+    ``_step`` onto the general path, never into the SoA loop.  Semantics
+    are those of the full scheduler — this class only forecloses the fast
+    regime.
     """
 
     _uses_soa = False
-    _soa_enabled = False
 
 
 class _SchedulerEngine(Engine):
@@ -149,7 +149,7 @@ class _SchedulerEngine(Engine):
         self._sched._step()
 
     def sync_state(self) -> None:
-        if self._sched._soa_auth:
+        if self._sched._soa:
             self._sched._sync_states()
 
     def positions(self) -> Dict[int, int]:
@@ -193,7 +193,7 @@ class IncrementalEngine(_SchedulerEngine):
 
 @register_engine
 class SoAEngine(_SchedulerEngine):
-    """The default dual-regime scheduler (SoA hot loop + general fallback)."""
+    """The default dual-regime scheduler (SoA loop + general fallback)."""
 
     name = "soa"
     capabilities = EngineCapabilities(
@@ -229,11 +229,12 @@ def _rebuild_error(outcome: ReplicaOutcome) -> Exception:
 class _BatchEngine(Engine):
     """Adapter: :class:`ReplicaBatch` as a (coarse-stepped) single-run engine.
 
-    The replica engine's unit of progress is a whole lockstep slice, so
-    :meth:`step` runs the request to completion on first call (the protocol
-    allows steps of more than one round).  Multi-replica use goes through
-    the runtime (``execute(engine="batch-...")`` groups seed-replicas);
-    here one fleet of size R=1 runs with scalar-identical results.
+    The replica engine's unit of progress is a lockstep turn of many
+    rounds, so :meth:`step` runs the request to completion on first call
+    (the protocol allows steps of more than one round).  Multi-replica use
+    goes through the runtime (``execute(engine="batch-...")`` groups
+    seed-replicas); here one fleet of size R=1 runs with scalar-identical
+    results.
     """
 
     batch_backend: str = "list"
@@ -260,8 +261,9 @@ class _BatchEngine(Engine):
 
     def step(self) -> None:
         # The replica engine's smallest externally observable unit of
-        # progress is the whole run (replicas retire inside fused slices),
-        # so one "step" drives it to completion under the default budget.
+        # progress is the whole run (replicas retire inside lockstep
+        # turns), so one "step" drives it to completion under the default
+        # budget.
         if self._result is None:
             self.run(DEFAULT_MAX_ROUNDS)
 

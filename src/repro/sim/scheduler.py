@@ -41,15 +41,23 @@ Plain lists are deliberately chosen over ``array``/numpy: indexing an
 ``array('l')`` boxes a fresh int per read, and numpy cannot help a loop
 that must call a Python generator per element (see ``docs/PERF.md``).
 
-Two regimes share those arrays:
+The regime is fixed when a scheduler is built, and two regimes share
+those arrays:
 
-* the **SoA hot loop** (:meth:`_step_soa`) runs every round except traced
-  rounds, activation-model rounds, rounds on a graph with a self-loop, and
-  every round of the ``incremental`` pin (``_soa_enabled = False``).  It
+* the **SoA loop** (:meth:`_step_soa`) runs every run except traced runs,
+  activation-model runs, runs on a graph with a self-loop, and runs of a
+  class that sets ``_uses_soa = False`` (the seed scheduler and the
+  ``incremental`` pin).  One call runs due wake-ups, fast-forward jumps
+  and rounds in a single frame: ``run`` makes one call per run, ``_step``
+  one call per round (``_step_soa(self.round + 1)``), and the batch
+  engine one call per lockstep turn.  The frame binds the CSR and the
+  arrays once, keeps the round counter, the occupancy snapshot and the
+  deferred counters in locals, reuses its scratch lists across rounds,
+  and caches the all-gathered card tuple until the next cold action.  It
   applies moves *inline* during the observation sweep (legal because an
   observation depends on other robots only through start-of-round
-  occupancy, which is read from pre-round state), detects co-location with
-  one C-level ``set(pos)`` per round instead of per-move occupancy
+  occupancy, which is read from pre-round state), detects co-location
+  with one C-level ``set(pos)`` per round instead of per-move occupancy
   bookkeeping, and resolves the dominant "one shared node" case with a
   closed-form duplicate extraction (``sum(pos) - sum(prev_pos_set)``).
   Rare action kinds (sleep/follow/terminate/cards) drop into cold helpers
@@ -61,14 +69,12 @@ Two regimes share those arrays:
   leader->followers index changes), and every meet-sleeper on a node that
   received an arrival is flagged to wake.
 * the **general path** (the pre-SoA incremental engine, preserved in
-  :meth:`_step_general`) handles traced runs, activation models, and
-  self-loop graphs with per-node occupant lists and card-tuple caches.
+  :meth:`_step_general`) runs every other run, one ``_step`` per round,
+  with per-node occupant lists and card-tuple caches.
 
-``RobotState`` attribute state is synchronized with the arrays only at run
-boundaries and, in a run whose rounds take the general path, once at its
-first general round (``_soa_to_states``, O(k)) -- the "facade at the trace
-boundary".  The regime gate reads only per-run settings, so a run never
-moves from the general path back to the SoA loop.
+In the SoA regime, ``RobotState`` attributes are synchronized with the
+arrays only at run boundaries (``_sync_states``); in the general regime
+they are authoritative from construction.
 Wake-ups are driven by a precomputed **wake schedule** — a min-heap of
 ``(wake_round, rid)`` pushed at sleep/follow time — so rounds where nobody
 is due skip the per-robot wake scan entirely, and fast-forward jumps read
@@ -109,16 +115,13 @@ __all__ = ["Scheduler"]
 class Scheduler:
     """Drives a set of robot programs on a port graph until all terminate."""
 
-    #: Subclasses that keep :class:`RobotState` attributes authoritative for
-    #: the whole run (the seed :class:`~repro.sim.reference.ReferenceScheduler`)
-    #: set this to ``False``; the arrays then exist but are never trusted.
+    #: Whether runs of this class may take the struct-of-arrays loop.
+    #: Subclasses that set it to ``False`` keep :class:`RobotState`
+    #: attributes authoritative and step every round through ``_step``: the
+    #: seed :class:`~repro.sim.reference.ReferenceScheduler`, and the
+    #: ``incremental`` engine backend (:mod:`repro.sim.engines`), which
+    #: pins the general path for differential testing.
     _uses_soa = True
-
-    #: Whether ``_step`` may enter the struct-of-arrays hot loop at all.
-    #: The ``incremental`` engine backend (:mod:`repro.sim.engines`) sets
-    #: this to ``False`` to pin the general path for every round — the
-    #: PR-2 execution regime, kept addressable for differential testing.
-    _soa_enabled = True
 
     def __init__(
         self,
@@ -154,13 +157,25 @@ class Scheduler:
         self.round = 0
         self.metrics = RunMetrics()
 
-        # --- general-path state (invariants in docs/PERF.md) ----------
         self._csr = graph.csr
-        if type(self)._uses_soa:
-            # SoA schedulers never read the initial occupancy structures:
-            # every general-path entry rebuilds them via _soa_to_states.
-            # Deferring the build skips O(n) list allocations per
-            # construction — replica campaigns construct many schedulers.
+        # The regime is fixed for the whole run: the SoA loop, with the
+        # arrays authoritative, unless the class pins the general path or
+        # the run is traced, has an activation model, or its graph has a
+        # self-loop.
+        self._soa = (
+            type(self)._uses_soa
+            and trace is None
+            and activation is None
+            and not self._csr.has_self_loop
+        )
+        # set by run(): whether the SoA loop returns at the first gathering
+        self._stop_on_gather = False
+
+        # --- general-path state (invariants in docs/PERF.md) ----------
+        if self._soa:
+            # The SoA loop never reads the occupancy structures; skipping
+            # them saves O(n) list allocations per construction — replica
+            # campaigns construct many schedulers.
             self._occ: List[List[RobotState]] = []
             self._cards: List[Optional[Tuple[dict, ...]]] = []
         else:
@@ -213,10 +228,6 @@ class Scheduler:
         # rids flagged woken_early (meet arrivals, leader-terminated wakes)
         # since the last wake processing
         self._woken: List[int] = []
-        # whether the arrays (True) or RobotState attributes (False) are
-        # authoritative right now; flipped at regime transitions
-        self._soa_auth = type(self)._uses_soa
-        self._has_selfloop = self._csr.has_self_loop
 
         self._prime()
 
@@ -237,11 +248,11 @@ class Scheduler:
     def positions(self) -> Dict[int, int]:
         """label -> node, for every robot (terminated included).
 
-        Derived straight from the position array while the SoA engine is
-        authoritative — one C-level ``zip`` instead of a per-robot
-        attribute walk (replay snapshots call this every round).
+        Derived straight from the position array in the SoA regime — one
+        C-level ``zip`` instead of a per-robot attribute walk (replay
+        snapshots call this every round).
         """
-        if self._soa_auth:
+        if self._soa:
             return dict(zip(self._labels, self._pos))
         return {r.label: r.node for r in self.robots}
 
@@ -255,7 +266,7 @@ class Scheduler:
         return self._occupied == 1
 
     # ------------------------------------------------------------------
-    # Array <-> facade synchronization (regime transitions only)
+    # Deferred counters and array -> facade synchronization
     # ------------------------------------------------------------------
     def _flush_ar(self) -> None:
         """Apply the deferred active-round increments to the ar array."""
@@ -279,16 +290,6 @@ class Scheduler:
             r.moves = moves[i]
             r.active_rounds = ar[i]
 
-    def _soa_to_states(self) -> None:
-        """SoA -> general transition: facades + occupancy become current."""
-        self._sync_states()
-        occ: List[List[RobotState]] = [[] for _ in range(self.graph.n)]
-        for r in self.robots:  # label order => occupant lists stay sorted
-            occ[r.node].append(r)
-        self._occ = occ
-        self._cards = [None] * self.graph.n
-        self._soa_auth = False
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -298,13 +299,21 @@ class Scheduler:
         ``stop_on_gather=True`` additionally stops as soon as all robots are
         co-located — the measurement hook for detection-free baselines, which
         otherwise never halt.
+
+        An SoA-regime run makes one :meth:`_step_soa` call, which returns
+        exactly when one of the loop's gates below would fire; every other
+        run makes one :meth:`_step` call per round.
         """
+        self._stop_on_gather = stop_on_gather
         while not self.all_terminated():
             if stop_on_gather and self.metrics.first_gather_round is not None:
                 break
             if self.round > max_rounds:
                 raise self._timeout_error()
-            self._step()
+            if self._soa:
+                self._step_soa(max_rounds + 1)
+            else:
+                self._step()
         return self._finalize()
 
     def _timeout_error(self) -> SimulationTimeout:
@@ -322,7 +331,7 @@ class Scheduler:
         """Sync facades and fill the end-of-run metrics.  ``run`` calls this
         once its loop exits; the batched replica driver calls it when it
         retires a replica — one code path, identical metrics either way."""
-        if self._soa_auth:
+        if self._soa:
             self._sync_states()
         self.metrics.rounds = self.round
         self.metrics.gathered_at_end = self.all_gathered()
@@ -369,7 +378,7 @@ class Scheduler:
                 status = robots[rid].status
                 if status == SLEEPING or status == FOLLOWING:
                     due.add(rid)
-            self._woken = []
+            woken.clear()  # in place: the SoA loop holds a binding
         if not due:
             return self._active
         self._flush_ar()
@@ -411,39 +420,48 @@ class Scheduler:
             heapq.heappop(heap)  # stale entry (woken early / re-slept)
         return None
 
+    def _fast_forward(self) -> None:
+        """No robot is active: jump to the earliest scheduled wake round.
+
+        Followers of sleeping leaders cannot move either, so the jump is
+        safe; with nothing scheduled, no robot can ever act again.
+        """
+        nxt = self._next_wake_round()
+        if nxt is None:
+            statuses = ", ".join(
+                f"{r.label}:{rb.STATUS_NAMES[r.status]}" for r in self.robots
+            )
+            raise SimulationDeadlock(
+                f"round {self.round}: no robot can ever act again ({statuses})"
+            )
+        if self.trace is not None:
+            self.trace.record(self.round, "jump", None, nxt)
+        self.round = max(self.round + 1, nxt)
+
     # ------------------------------------------------------------------
     def _step(self) -> None:
+        """Execute one round, or one fast-forward jump."""
+        if self._soa:
+            self._step_soa(self.round + 1)
+            return
         active_rids = self._wake_due()
-
-        if not active_rids:
-            nxt = self._next_wake_round()
-            if nxt is None:
-                statuses = ", ".join(
-                    f"{r.label}:{rb.STATUS_NAMES[r.status]}" for r in self.robots
-                )
-                raise SimulationDeadlock(
-                    f"round {self.round}: no robot can ever act again ({statuses})"
-                )
-            if self.trace is not None:
-                self.trace.record(self.round, "jump", None, nxt)
-            self.round = max(self.round + 1, nxt)
-            return
-
-        if (
-            self._soa_enabled
-            and self.activation is None
-            and self.trace is None
-            and not self._has_selfloop
-        ):
-            self._step_soa(active_rids)
-            return
-        self._step_general(active_rids)
+        if active_rids:
+            self._step_general(active_rids)
+        else:
+            self._fast_forward()
 
     # ------------------------------------------------------------------
-    # The SoA hot loop
+    # The SoA loop
     # ------------------------------------------------------------------
-    def _step_soa(self, active: List[int]) -> None:
-        rnd = self.round
+    def _step_soa(self, stop_round: int) -> None:
+        """Run wake-ups, fast-forward jumps and SoA rounds in one frame.
+
+        Returns once every robot has terminated, ``self.round`` reaches
+        ``stop_round``, or -- when ``run`` was asked to stop on gathering
+        (``_stop_on_gather``) -- the robots have gathered.  The caller
+        applies ``run``'s gates first, and the first round or jump always
+        executes, so ``_step_soa(self.round + 1)`` is exactly one ``_step``.
+        """
         csr = self._csr
         row = csr.row_offsets
         nbr = csr.neighbor
@@ -455,225 +473,255 @@ class Scheduler:
         own = self._own
         sends = self._sends
         obs_l = self._obs
+        labels = self._labels
         nrob = self._nrob
-
-        # --- start-of-round co-location snapshot ----------------------
-        # excess == 0: every node is singly occupied and every observation
-        # is the robot's own persistent card tuple.  excess == 1: exactly
-        # one node holds exactly two robots; extract it in closed form from
-        # the previous round's position set (no per-node bookkeeping).
-        # excess == k - 1: every robot shares one node (a gathered group
-        # riding its leader), whose cards are every card in label order.
-        # Otherwise build the shared-node card map with one O(k) sweep.
-        excess = nrob - self._occupied
-        shared_cards: Optional[Dict[int, Tuple[dict, ...]]] = None
-        if excess == 0:
-            dup = -1
-            dup_cards: Optional[Tuple[dict, ...]] = None
-        elif excess == 1:
-            dup = sum(pos) - sum(self._posset)
-            i1 = pos.index(dup)
-            i2 = pos.index(dup, i1 + 1)
-            dup_cards = (own[i1][0], own[i2][0])
-        elif excess == nrob - 1:
-            dup = pos[0]
-            dup_cards = tuple([o[0] for o in own])
-        else:
-            dup = -1
-            dup_cards = None
-            # find the `excess` duplicated slots from a C-sorted copy, then
-            # recover each shared node's label-ordered rids with C index
-            # scans — O(k log k) in C plus O(shared) in Python, instead of
-            # a per-robot Python dict build
-            sp = sorted(pos)
-            shared_cards = {}
-            remaining = excess
-            t = 0
-            last = nrob - 1
-            while remaining:
-                if sp[t] == sp[t + 1]:
-                    node = sp[t]
-                    rids = [pos.index(node)]
-                    while t < last and sp[t + 1] == node:
-                        rids.append(pos.index(node, rids[-1] + 1))
-                        t += 1
-                        remaining -= 1
-                    shared_cards[node] = tuple(own[j][0] for j in rids)
-                t += 1
-
-        # Riders and meet-sleeper wakes need this round's movers.  The sweep
-        # records them from round start while followers or meet-sleepers
-        # exist; otherwise a follow/meet-sleep appearing mid-sweep
-        # reconstructs them from the pre-round state (no self-loops in SoA
-        # mode, so "position changed" <=> "moved", and the entry port pins
-        # the unique edge taken).
+        active = self._active
+        heap = self._wake_heap
+        woken = self._woken
+        followers_of = self._followers_of
+        metrics = self.metrics
+        replay = self.replay
+        stop_on_gather = self._stop_on_gather
+        first_gather = metrics.first_gather_round
+        # Per-round state lives in locals for the frame.  ``finally`` writes
+        # it back, and so does every call into a helper that reads it.
+        rnd = self.round
+        posset = self._posset
+        occupied = self._occupied
+        pend = 0  # active-round increments not yet in _ar_pending
+        executed = 0
+        # scratch shared by every round of the frame
         prev_pos = pos[:]
-        self._ar_pending += 1
-
-        track = self._meet_sleepers > 0 or bool(self._followers_of)
         movers_i: List[int] = []
         movers_p: List[int] = []
         terminators: List[int] = []
         followers_once: List[int] = []
         # rids leaving the active set this round (sleep/follow); removal is
-        # deferred because the loop iterates self._active itself
+        # deferred because the sweep iterates the active list itself
         deactivated: List[int] = []
+        dup_cards: Optional[Tuple[dict, ...]] = None
+        # every card in label order, for all-gathered rounds; a cold action
+        # (the only way to publish a card) drops it
+        all_cards: Optional[Tuple[dict, ...]] = None
+        try:
+            while True:
+                # --- wake-ups and fast-forward jumps --------------------
+                if woken or (heap and heap[0][0] <= rnd):
+                    self.round = rnd
+                    self._ar_pending += pend
+                    pend = 0
+                    self._wake_due()
+                if not active:
+                    self.round = rnd
+                    self._fast_forward()
+                    rnd = self.round
+                    if rnd >= stop_round:
+                        return
+                    continue
 
-        if shared_cards is None:
-            for i in active:
-                node = pos[i]
-                ob = obs_l[i]
-                ob.round = rnd
-                ob.degree = dg = deg[node]
-                ob.entry_port = entry[i]
-                ob.cards = own[i] if node != dup else dup_cards
-                try:
-                    a = sends[i](ob)
-                except StopIteration:
-                    raise ProtocolViolation(
-                        f"robot {self._labels[i]}: program returned without terminating"
-                    ) from None
-                try:
-                    kind = a.hot_kind
-                except AttributeError:
-                    if a is None:
-                        raise ProtocolViolation(
-                            f"robot {self._labels[i]}: yielded None instead of an Action"
-                        ) from None
-                    raise
-                if kind == MOVE:
-                    p = a.port
+                # --- start-of-round co-location snapshot ----------------
+                # excess == 0: every node is singly occupied and every
+                # observation is the robot's own persistent card tuple.
+                # excess == k - 1: every robot shares one node (a gathered
+                # group riding its leader), whose cards are every card in
+                # label order.  excess == 1: exactly one node holds exactly
+                # two robots; extract it in closed form from the previous
+                # round's position set (no per-node bookkeeping).
+                # Otherwise build the shared-node card map in one sweep.
+                excess = nrob - occupied
+                shared: Optional[Dict[int, Tuple[dict, ...]]] = None
+                if excess == 0:
+                    dup = -1
+                elif excess == nrob - 1:
+                    dup = pos[0]
+                    if all_cards is None:
+                        all_cards = tuple([o[0] for o in own])
+                    dup_cards = all_cards
+                elif excess == 1:
+                    dup = sum(pos) - sum(posset)
+                    i1 = pos.index(dup)
+                    i2 = pos.index(dup, i1 + 1)
+                    dup_cards = (own[i1][0], own[i2][0])
+                else:
+                    dup = -1
+                    # find the `excess` duplicated slots from a C-sorted
+                    # copy, then recover each shared node's label-ordered
+                    # rids with C index scans — O(k log k) in C plus
+                    # O(shared) in Python, instead of a per-robot dict build
+                    sp = sorted(pos)
+                    shared = {}
+                    remaining = excess
+                    t = 0
+                    last = nrob - 1
+                    while remaining:
+                        if sp[t] == sp[t + 1]:
+                            node = sp[t]
+                            rids = [pos.index(node)]
+                            while t < last and sp[t + 1] == node:
+                                rids.append(pos.index(node, rids[-1] + 1))
+                                t += 1
+                                remaining -= 1
+                            shared[node] = tuple(own[q][0] for q in rids)
+                        t += 1
+
+                # Riders and meet-sleeper wakes need this round's movers.
+                # The sweep records them from round start while followers
+                # or meet-sleepers exist; otherwise a follow/meet-sleep
+                # appearing mid-sweep reconstructs them from the pre-round
+                # positions (no self-loops in SoA mode, so "position
+                # changed" <=> "moved", and the entry port pins the edge).
+                prev_pos[:] = pos
+                pend += 1
+                track = True if followers_of else self._meet_sleepers > 0
+                cold = False
+                for i in active:
+                    node = pos[i]
+                    ob = obs_l[i]
+                    ob.round = rnd
+                    ob.degree = dg = deg[node]
+                    ob.entry_port = entry[i]
+                    if shared is None:
+                        ob.cards = own[i] if node != dup else dup_cards
+                    else:
+                        cards = shared.get(node)
+                        ob.cards = own[i] if cards is None else cards
                     try:
-                        ok = 0 <= p < dg
-                    except TypeError:  # port is None
-                        ok = False
-                    if not ok:
+                        a = sends[i](ob)
+                    except StopIteration:
                         raise ProtocolViolation(
-                            f"robot {self._labels[i]}: invalid port {p} on a degree-"
-                            f"{dg} node"
-                        )
-                    j = row[node] + p
-                    pos[i] = nbr[j]
-                    entry[i] = ent[j]
-                    mvs[i] += 1
-                    if track:
-                        movers_i.append(i)
-                        movers_p.append(p)
-                elif kind != STAY:
-                    track = self._soa_cold(
-                        i, a, rnd, track,
-                        movers_i, movers_p, terminators, followers_once,
-                        deactivated, prev_pos,
-                    )
-        else:
-            for i in active:
-                node = pos[i]
-                ob = obs_l[i]
-                ob.round = rnd
-                ob.degree = dg = deg[node]
-                ob.entry_port = entry[i]
-                cards = shared_cards.get(node)
-                ob.cards = own[i] if cards is None else cards
-                try:
-                    a = sends[i](ob)
-                except StopIteration:
-                    raise ProtocolViolation(
-                        f"robot {self._labels[i]}: program returned without terminating"
-                    ) from None
-                try:
-                    kind = a.hot_kind
-                except AttributeError:
-                    if a is None:
-                        raise ProtocolViolation(
-                            f"robot {self._labels[i]}: yielded None instead of an Action"
+                            f"robot {labels[i]}: program returned without terminating"
                         ) from None
-                    raise
-                if kind == MOVE:
-                    p = a.port
                     try:
-                        ok = 0 <= p < dg
-                    except TypeError:  # port is None
-                        ok = False
-                    if not ok:
-                        raise ProtocolViolation(
-                            f"robot {self._labels[i]}: invalid port {p} on a degree-"
-                            f"{dg} node"
+                        kind = a.hot_kind
+                    except AttributeError:
+                        if a is None:
+                            raise ProtocolViolation(
+                                f"robot {labels[i]}: yielded None instead of an Action"
+                            ) from None
+                        raise
+                    if kind == MOVE:
+                        p = a.port
+                        try:
+                            ok = 0 <= p < dg
+                        except TypeError:  # port is None
+                            ok = False
+                        if not ok:
+                            raise ProtocolViolation(
+                                f"robot {labels[i]}: invalid port {p} on a degree-"
+                                f"{dg} node"
+                            )
+                        j = row[node] + p
+                        pos[i] = nbr[j]
+                        entry[i] = ent[j]
+                        mvs[i] += 1
+                        if track:
+                            movers_i.append(i)
+                            movers_p.append(p)
+                    elif kind != STAY:
+                        # _soa_cold may flush the active-round counter
+                        self._ar_pending += pend
+                        pend = 0
+                        cold = True
+                        track = self._soa_cold(
+                            i, a, rnd, track,
+                            movers_i, movers_p, terminators, followers_once,
+                            deactivated, prev_pos,
                         )
-                    j = row[node] + p
-                    pos[i] = nbr[j]
-                    entry[i] = ent[j]
-                    mvs[i] += 1
-                    if track:
-                        movers_i.append(i)
-                        movers_p.append(p)
-                elif kind != STAY:
-                    track = self._soa_cold(
-                        i, a, rnd, track,
-                        movers_i, movers_p, terminators, followers_once,
-                        deactivated, prev_pos,
-                    )
 
-        if deactivated:
-            for rid in deactivated:
-                self._active.remove(rid)
+                if cold:
+                    all_cards = None
+                    if deactivated:
+                        for rid in deactivated:
+                            active.remove(rid)
+                        deactivated.clear()
 
-        # --- followers ride their leaders -------------------------------
-        # A single mover carrying riders (the paper's Lemma-4 groups)
-        # applies its cached rider list inline: label-sorted, it already is
-        # the general path's application order, and each inherited port is
-        # checked against the rider's own node (a non-co-located follower
-        # can inherit a port its node lacks).  follow_once rounds and rounds
-        # where several movers carry riders interleave chains, so they take
-        # the full propagation.
-        if followers_once:
-            self._soa_resolve_follows(movers_i, movers_p, followers_once)
-        elif self._followers_of:
-            riders = self._riders
-            if riders is None:
-                riders = self._build_riders()
-            carriers = [k for k, i in enumerate(movers_i) if i in riders]
-            if len(carriers) == 1:
-                k = carriers[0]
-                p = movers_p[k]
-                for f in riders[movers_i[k]]:
-                    node = pos[f]
-                    if not 0 <= p < deg[node]:
-                        raise PortGraphError(
-                            f"node {node} has degree {deg[node]}; port {p} is invalid"
-                        )
-                    j = row[node] + p
-                    pos[f] = nbr[j]
-                    entry[f] = ent[j]
-                    mvs[f] += 1
-                    movers_i.append(f)
-                    movers_p.append(p)
-            elif carriers:
-                self._soa_resolve_follows(movers_i, movers_p, followers_once)
+                # --- followers ride their leaders -----------------------
+                # A single mover carrying riders (the paper's Lemma-4
+                # groups) applies its cached rider list inline:
+                # label-sorted, it already is the general path's
+                # application order, and each inherited port is checked
+                # against the rider's own node (a non-co-located follower
+                # can inherit a port its node lacks).  follow_once rounds
+                # and rounds where several movers carry riders interleave
+                # chains, so they take the full propagation.
+                if followers_once:
+                    self._soa_resolve_follows(movers_i, movers_p, followers_once)
+                    followers_once.clear()
+                elif followers_of and movers_i:
+                    riders = self._riders
+                    if riders is None:
+                        riders = self._build_riders()
+                    group = None
+                    if len(movers_i) == 1:  # a lone leader: no scan
+                        group = riders.get(movers_i[0])
+                        p = movers_p[0]
+                    else:
+                        carriers = [k for k, i in enumerate(movers_i) if i in riders]
+                        if len(carriers) == 1:
+                            k = carriers[0]
+                            group = riders[movers_i[k]]
+                            p = movers_p[k]
+                        elif carriers:
+                            self._soa_resolve_follows(movers_i, movers_p, followers_once)
+                    if group is not None:
+                        # rider arrivals matter only to meet-sleepers
+                        meet = self._meet_sleepers
+                        for f in group:
+                            node = pos[f]
+                            if not 0 <= p < deg[node]:
+                                raise PortGraphError(
+                                    f"node {node} has degree {deg[node]}; port {p} is invalid"
+                                )
+                            j = row[node] + p
+                            pos[f] = nbr[j]
+                            entry[f] = ent[j]
+                            mvs[f] += 1
+                            if meet:
+                                movers_i.append(f)
+                                movers_p.append(p)
 
-        # --- commit occupancy ------------------------------------------
-        ps = set(pos)
-        self._posset = ps
-        self._occupied = len(ps)
+                # --- commit occupancy, wake meet-sleepers ---------------
+                posset = set(pos)
+                occupied = len(posset)
+                if movers_i:
+                    if self._meet_sleepers:
+                        self._soa_wake_meet(movers_i)
+                    movers_i.clear()
+                    movers_p.clear()
 
-        # --- wake meet-sleepers on arrivals ----------------------------
-        if self._meet_sleepers and movers_i:
-            self._soa_wake_meet(movers_i)
+                # --- terminations + cascade -----------------------------
+                if terminators:
+                    self.round = rnd
+                    self._posset = posset
+                    self._occupied = occupied
+                    self._ar_pending += pend
+                    pend = 0
+                    self._flush_ar()
+                    robots = self.robots
+                    for rid in terminators:
+                        self._terminate(robots[rid])
+                    terminators.clear()
+                    self._cascade_terminations()
+                    if not self._alive:
+                        stop_round = rnd + 1
 
-        # --- terminations + cascade ------------------------------------
-        if terminators:
-            self._flush_ar()
-            for rid in terminators:
-                self._terminate(self.robots[rid])
-            self._cascade_terminations()
-
-        # --- bookkeeping ------------------------------------------------
-        metrics = self.metrics
-        if metrics.first_gather_round is None and self._occupied == 1:
-            metrics.first_gather_round = rnd
-        if self.replay is not None:
-            self.replay.snapshot(rnd, self.positions())
-        metrics.rounds_executed += 1
-        self.round = rnd + 1
+                # --- bookkeeping ----------------------------------------
+                if first_gather is None and occupied == 1:
+                    first_gather = metrics.first_gather_round = rnd
+                    if stop_on_gather:
+                        stop_round = rnd + 1
+                if replay is not None:
+                    replay.snapshot(rnd, self.positions())
+                executed += 1
+                rnd += 1
+                if rnd >= stop_round:
+                    return
+        finally:
+            self.round = rnd
+            self._posset = posset
+            self._occupied = occupied
+            self._ar_pending += pend
+            metrics.rounds_executed += executed
 
     # -- SoA cold paths -------------------------------------------------
     def _soa_publish(self, i: int, action: Action) -> None:
@@ -940,8 +988,6 @@ class Scheduler:
     # The general path (the pre-SoA incremental engine)
     # ------------------------------------------------------------------
     def _step_general(self, active_rids: List[int]) -> None:
-        if self._soa_auth:
-            self._soa_to_states()
         robots = self.robots
         active = [robots[i] for i in active_rids]
 

@@ -1,7 +1,7 @@
 """The batched replica engine is bit-identical to scalar execution.
 
-:mod:`repro.sim.batch` runs R seed-replicas in lockstep with a fused hot
-loop (plus a specialized two-robot slice); :mod:`repro.runtime` groups
+:mod:`repro.sim.batch` runs R seed-replicas in lockstep, one
+``Scheduler._step_soa`` call per replica per turn; :mod:`repro.runtime` groups
 differ-only-by-seed specs into :class:`BatchRunSpec` units.  This module
 pins, for both bookkeeping backends (NumPy and the pure-list fallback):
 

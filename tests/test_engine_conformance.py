@@ -359,11 +359,22 @@ def _bad_port(ctx):
     yield Action.terminate()
 
 
+def _sleep_past_budget(ctx):
+    obs = yield  # noqa: F841 — prime the generator
+    obs = yield Action.sleep(60)
+    yield Action.terminate()
+
+
 def _error_case(kind):
     """(graph, fresh fleet, run kwargs) provoking one failure mode."""
     if kind == "timeout":
         _, graph, factory_fn, place, k = MATRIX[2]
         return graph, make_fleet(graph, factory_fn, place, k), {"max_rounds": 50}
+    if kind == "timeout_jump":
+        # the fast-forward jump lands past the budget: the timeout must
+        # fire before the sleeper is woken
+        fleet = [RobotSpec(label=1, start=0, factory=_sleep_past_budget)]
+        return gg.path(3), fleet, {"max_rounds": 50}
     if kind == "deadlock":
         return gg.path(3), [RobotSpec(label=1, start=0, factory=_sleep_forever)], {}
     if kind == "bad_port":
@@ -383,12 +394,20 @@ def _failure_signature(engine, kind):
 _ORACLE_FAILURES = {}
 
 
-@pytest.mark.parametrize("kind", ["timeout", "deadlock", "bad_port"])
+@pytest.mark.parametrize("kind", ["timeout", "timeout_jump", "deadlock", "bad_port"])
 @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
 def test_failure_conformance(engine, kind):
     if kind not in _ORACLE_FAILURES:
         _ORACLE_FAILURES[kind] = _failure_signature(ORACLE, kind)
     assert _failure_signature(engine, kind) == _ORACLE_FAILURES[kind]
+
+
+def test_timeout_jump_oracle_reports_the_sleeper():
+    """The oracle side of ``timeout_jump``: the jump to round 60 happens,
+    and the budget check fires before the robot wakes."""
+    assert _failure_signature(ORACLE, "timeout_jump") == (
+        "SimulationTimeout", "simulation exceeded 60 rounds: 1:sleeping"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,41 @@ def test_gathered_group_cards_untraced_soa(general_steps):
     assert general_steps == []
 
 
+def test_rider_arrival_wakes_meet_sleeper_untraced_soa(general_steps):
+    """A rider that is not co-located with its leader (non-strict mode)
+    lands on a meet-sleeper's node: the rider's own arrival, not the
+    leader's, must wake the sleeper the next round."""
+    g = gg.ring(8)
+    port = 0
+    landing, _ = g.traverse(4, port)
+    assert landing != g.traverse(0, port)[0]
+    woke = []
+
+    def leader(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        obs = yield Action.move(port)
+        yield Action.terminate()
+
+    def sleeper(ctx):
+        obs = yield
+        obs = yield Action.sleep(40, wake_on_meet=True)
+        woke.append(obs.round)
+        yield Action.terminate()
+
+    def make_specs():
+        return [
+            _spec(5, 0, leader),
+            _spec(3, 4, _follower(5)),
+            _spec(2, landing, sleeper),
+        ]
+
+    fast = run_both_untraced(g, make_specs)
+    assert fast.all_terminated()
+    assert woke == [2, 2]  # fast, then seed
+    assert general_steps == []
+
+
 def test_meet_sleep_mid_sweep_untraced_soa():
     """A wake_on_meet sleep appearing mid-SoA-round must reconstruct this
     round's earlier inline movers for arrival detection."""

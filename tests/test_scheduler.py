@@ -106,6 +106,51 @@ class TestBasics:
             run(path2(), [make(1, 0, prog)], max_rounds=50)
 
 
+class TestSharedActions:
+    """Actions are immutable values, so plain moves and stays are shared."""
+
+    def test_plain_moves_and_stays_are_shared(self):
+        for p in range(64):
+            assert Action.move(p) is Action.move(p)
+            assert Action.move(p).port == p
+        assert Action.move(3, card=None, note=None) is Action.move(3)
+        assert Action.stay() is Action.stay()
+        assert Action.stay(card=None, note=None) is Action.stay()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Action.move(0, card={"x": 1}),
+            lambda: Action.move(0, note="n"),
+            lambda: Action.stay(card={"x": 1}),
+            lambda: Action.stay(note="n"),
+        ],
+        ids=["move_card", "move_note", "stay_card", "stay_note"],
+    )
+    def test_card_or_note_actions_are_new(self, build):
+        a, b = build(), build()
+        assert a is not b
+        assert a.hot_kind == -1
+
+    @pytest.mark.parametrize("port", [-1, 64, None, True, 1.0], ids=repr)
+    def test_other_ports_get_new_actions_keeping_the_port(self, port):
+        a, b = Action.move(port), Action.move(port)
+        assert a is not b
+        assert a.port is port
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["soa", "general"])
+    @pytest.mark.parametrize("port", [-1, 64, None, True, 1.0], ids=repr)
+    def test_invalid_port_error_names_the_programs_value(self, port, traced):
+        def prog(ctx):
+            obs = yield
+            yield Action.move(port)
+
+        trace = TraceRecorder() if traced else None
+        with pytest.raises(ProtocolViolation) as exc:
+            run(path2(), [make(1, 0, prog)], trace=trace)
+        assert str(exc.value) == f"robot 1: invalid port {port} on a degree-1 node"
+
+
 class TestCardTiming:
     def test_cards_visible_next_round(self):
         """A card published at round r is what co-located robots see at r+1."""
