@@ -89,14 +89,21 @@ def verify_uxs_for_graph(graph: PortGraph) -> None:
     Called by :func:`run_gathering` for UXS-capable algorithms; raising here
     (instead of running anyway) keeps reported numbers honest — a schedule
     whose exploration property is broken would produce garbage rounds, not
-    a valid reproduction.
+    a valid reproduction.  A pass is remembered per (graph, plan) object
+    pair in :mod:`repro.runtime.graph_cache`, so the specs of a memoized
+    graph certify it once per process; a failure is never remembered.
     """
+    from repro.runtime import graph_cache  # the runtime imports this module
+
     plan = practical_plan(graph.n)
+    if graph_cache.is_certified(graph, plan):
+        return
     if plan.T and not covers_all_starts(graph, plan.offsets):
         raise UxsCertificationError(
             f"practical UXS plan for n={graph.n} does not cover this graph; "
             f"raise the certification safety factor"
         )
+    graph_cache.mark_certified(graph, plan)
 
 
 def _scenario_extras(result) -> Dict[str, Any]:

@@ -69,6 +69,14 @@ __all__ = [
 #: by whoever holds those leases, or by a resume after they go stale).
 DEFAULT_IDLE_TIMEOUT = 300.0
 
+#: Backoff against cells leased to other workers: the first pause is twice
+#: the base, jittered by x0.5-1.5, and each idle rescan doubles it up to
+#: the cap.  The base is the mean time of this worker's own cells, at most
+#: ``BACKOFF_BASE`` (which is also the base before it has run a cell), so a
+#: worker waiting out another's last cell sleeps for a cell time or two.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
 #: ``progress(outcome, done_cells, total_cells)`` — fires per executed cell.
 ProgressCallback = Callable[[RunOutcome, int, int], None]
 
@@ -81,8 +89,6 @@ def run_worker(
     owner: Optional[str] = None,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
     chaos: Optional[ChaosMonkey] = None,
     progress: Optional[ProgressCallback] = None,
     stats: Optional[ExecutionStats] = None,
@@ -122,6 +128,7 @@ def run_worker(
     pending = {cell.key: cell for cell in order}
     failed: set = set()
     held: list = []  # (cell, lease) in pull order — at most one deep
+    run_time = 0.0  # summed elapsed of this worker's executed cells
 
     def todo() -> int:
         return len(pending) - len(failed)
@@ -168,7 +175,10 @@ def run_worker(
             local.retries += 1
             if idle >= idle_timeout:
                 return
-            pause = min(backoff_cap, backoff_base * (2 ** min(attempt, 10)))
+            base = BACKOFF_BASE
+            if local.executed:
+                base = min(base, run_time / local.executed)
+            pause = min(BACKOFF_CAP, base * (2 ** min(attempt, 10)))
             pause *= 0.5 + rng.random()
             time.sleep(pause)
             idle += pause
@@ -188,6 +198,7 @@ def run_worker(
             chaos.trip("post_write", cell.key)
         leases.release(lease)
         local.executed += 1
+        run_time += outcome.elapsed
         pending.pop(cell.key, None)
         if progress is not None:
             done = len(manifest.cells) - todo()

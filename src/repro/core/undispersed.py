@@ -189,6 +189,9 @@ def _helper_loop(
     card: Optional[Dict[str, Any]] = None
     if announce:
         card = {"state": HELPER, "groupid": groupid, "tok": "-", "following": leader}
+    # the card-less follow_once of the current leader, built once per leader
+    # (actions are immutable values, so yielding one again is allowed)
+    follow: Optional[Action] = None
 
     while obs.round < sync_round:
         if leader is not None:
@@ -207,8 +210,13 @@ def _helper_loop(
                 if lg is not None and lg != groupid:
                     groupid = lg
                     card = {"state": HELPER, "groupid": groupid, "tok": "-", "following": leader}
-                obs = yield Action.follow_once(leader, card=card)
-                card = None
+                if card is None:
+                    if follow is None or follow.target != leader:
+                        follow = Action.follow_once(leader)
+                    obs = yield follow
+                else:
+                    obs = yield Action.follow_once(leader, card=card)
+                    card = None
                 continue
             # leader parked (or vanished — impossible for correct chains):
             leader = None
@@ -233,6 +241,7 @@ def _phase1_helper_body(ctx: RobotContext, obs: Observation, phase2_start: int, 
     finder's move; ``hold`` → stay put (and sleep once the finder leaves);
     ``park`` → sleep until Phase 2.  Returns the Phase-2 start observation.
     """
+    follow = Action.follow_once(my_finder)  # yielded again every escort round
     while obs.round < phase2_start:
         fc = None
         for c in obs.cards:
@@ -246,7 +255,7 @@ def _phase1_helper_body(ctx: RobotContext, obs: Observation, phase2_start: int, 
             continue
         tok = fc.get("tok")
         if tok == "follow":
-            obs = yield Action.follow_once(my_finder)
+            obs = yield follow
         elif tok == "park":
             obs = yield from sleep_until(obs, phase2_start)
         else:  # "hold" (or the finder's tour card, which cannot occur here)

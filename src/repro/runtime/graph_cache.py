@@ -15,6 +15,11 @@ no pickling of graphs); with the chunked dispatch of
 topology at most once per batch and every spec after the first reuses both
 the adjacency and the lazily-compiled CSR kernel.
 
+The same memo holds two graph-pure answers keyed by graph identity: the
+pairwise start-distance memos (:func:`pair_memo_for`) and the UXS
+certifications that passed (:func:`is_certified`), so the specs of one
+memoized graph pay each once per process.  :func:`clear` drops them all.
+
 ``benchmarks/bench_sweep.py`` measures the wall-clock effect and writes
 ``BENCH_sweep.json``; :func:`disabled` is the benchmark's (and any
 debugging session's) escape hatch.
@@ -32,6 +37,8 @@ from repro.graphs.port_graph import PortGraph
 __all__ = [
     "graph_for",
     "pair_memo_for",
+    "is_certified",
+    "mark_certified",
     "cache_info",
     "clear",
     "disabled",
@@ -109,16 +116,41 @@ def pair_memo_for(graph: PortGraph):
     return memo
 
 
+#: (graph, UXS plan) pairs that passed certification, keyed by both
+#: identities.  Each entry holds strong references to the pair, so no key
+#: in the dict can name another object.
+_certified: Dict[Tuple[int, int], Tuple[PortGraph, Any]] = {}
+
+
+def is_certified(graph: PortGraph, plan: Any) -> bool:
+    """Whether ``plan`` passed certification on this very ``graph``.
+
+    Only :func:`mark_certified` adds entries, so a graph that fails is
+    checked (and fails) again on every call.  Graphs and plans are pure
+    and immutable, so a pass holds for the life of both objects.
+    """
+    return (id(graph), id(plan)) in _certified
+
+
+def mark_certified(graph: PortGraph, plan: Any) -> None:
+    """Remember that ``plan`` passed certification on ``graph``."""
+    if len(_certified) >= MAX_ENTRIES:
+        _certified.pop(next(iter(_certified)))
+    _certified[(id(graph), id(plan))] = (graph, plan)
+
+
 def cache_info() -> Dict[str, int]:
     """``{"hits", "misses", "size"}`` for this process's memo."""
     return {"hits": _hits, "misses": _misses, "size": len(_cache)}
 
 
 def clear() -> None:
-    """Drop every memoized graph/pair-distance memo and reset the counters."""
+    """Drop every memoized graph, pair-distance memo and certification,
+    and reset the counters."""
     global _hits, _misses
     _cache.clear()
     _pair_memos.clear()
+    _certified.clear()
     _hits = 0
     _misses = 0
 

@@ -519,8 +519,10 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
         fleets.append(fleet)
         fleet_idx.append(i)
 
-    # Graph-pure checks, shared by every replica (the scalar path pays them
-    # per run); a failure here fails each healthy replica identically.
+    # Graph-pure checks, shared by every replica; a failure here fails each
+    # healthy replica identically.  (Certification passes are remembered
+    # per graph either way, so the scalar path pays it once per memoized
+    # graph too; a failing graph is checked again on every call.)
     try:
         if template.uses_uxs:
             verify_uxs_for_graph(graph)

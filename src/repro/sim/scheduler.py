@@ -60,14 +60,20 @@ those arrays:
   with one C-level ``set(pos)`` per round instead of per-move occupancy
   bookkeeping, and resolves the dominant "one shared node" case with a
   closed-form duplicate extraction (``sum(pos) - sum(prev_pos_set)``).
-  Rare action kinds (sleep/follow/terminate/cards) drop into cold helpers
-  that reconstruct whatever the inline sweep skipped.  While persistent
+  Rare action kinds (sleep/persistent follow/terminate/cards) drop into
+  cold helpers that reconstruct whatever the inline sweep skipped.  The
+  sweep dispatches a card-less ``follow_once`` itself; after the sweep
+  each such follower takes its leader's port, read off the reverse of the
+  leader's entry edge (exact without self-loops), unless the round's
+  follows chain or persistent followers exist.  While persistent
   followers or ``wake_on_meet`` sleepers exist, the sweep records its
   movers from round start: persistent followers then *ride* their
   leader's move through a cached, label-sorted list of each leader's
   transitive followers (its **riders**, rebuilt only when the
-  leader->followers index changes), and every meet-sleeper on a node that
-  received an arrival is flagged to wake.
+  leader->followers index changes), and the round's arrivals are tested
+  against a cached set of the meet-sleepers' nodes (dropped whenever the
+  meet-sleeper count changes); only a hit scans the robots and flags every
+  meet-sleeper on a node that received an arrival to wake.
 * the **general path** (the pre-SoA incremental engine, preserved in
   :meth:`_step_general`) runs every other run, one ``_step`` per round,
   with per-node occupant lists and card-tuple caches.
@@ -90,7 +96,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.port_graph import PortGraph, PortGraphError
 from repro.sim import robot as rb
@@ -199,6 +205,9 @@ class Scheduler:
         # robots currently SLEEPING with wake_on_meet; while zero, the move
         # loop skips arrival tracking entirely
         self._meet_sleepers = 0
+        # the nodes those sleepers occupy (sleepers never move); None once
+        # _meet_sleepers changes (the next SoA commit with movers rebuilds it)
+        self._meet_nodes: Optional[set] = None
         self._alive = len(self.robots)
         # robots not currently ACTIVE (SLEEPING/FOLLOWING/TERMINATED)
         self._dormant = 0
@@ -390,6 +399,7 @@ class Scheduler:
                 was_due = r.wake_round is not None and rnd >= r.wake_round
                 if r.wake_on_meet:
                     self._meet_sleepers -= 1
+                    self._meet_nodes = None
                 self._dormant -= 1
                 r.status = ACTIVE
                 r.woken_early = False
@@ -479,6 +489,8 @@ class Scheduler:
         heap = self._wake_heap
         woken = self._woken
         followers_of = self._followers_of
+        by_label = self.by_label
+        strict = self.strict
         metrics = self.metrics
         replay = self.replay
         stop_on_gather = self._stop_on_gather
@@ -495,7 +507,10 @@ class Scheduler:
         movers_i: List[int] = []
         movers_p: List[int] = []
         terminators: List[int] = []
+        # this round's one-round follows: follower rids in label order, and
+        # their leaders' rids
         followers_once: List[int] = []
+        once_leaders: List[int] = []
         # rids leaving the active set this round (sleep/follow); removal is
         # deferred because the sweep iterates the active list itself
         deactivated: List[int] = []
@@ -566,10 +581,13 @@ class Scheduler:
 
                 # Riders and meet-sleeper wakes need this round's movers.
                 # The sweep records them from round start while followers
-                # or meet-sleepers exist; otherwise a follow/meet-sleep
-                # appearing mid-sweep reconstructs them from the pre-round
-                # positions (no self-loops in SoA mode, so "position
-                # changed" <=> "moved", and the entry port pins the edge).
+                # or meet-sleepers exist; otherwise a persistent follow or
+                # meet-sleep appearing mid-sweep reconstructs them from the
+                # pre-round positions (no self-loops in SoA mode, so
+                # "position changed" <=> "moved", and the reverse of the
+                # entry edge gives the departure port).  One-round follows
+                # need no movers: each follower reads its leader's port the
+                # same way.
                 prev_pos[:] = pos
                 pend += 1
                 track = True if followers_of else self._meet_sleepers > 0
@@ -618,13 +636,29 @@ class Scheduler:
                             movers_i.append(i)
                             movers_p.append(p)
                     elif kind != STAY:
+                        if kind == FOLLOW_ONCE:
+                            # the target is judged on pre-round positions,
+                            # as _soa_check_follow_target does (which
+                            # raises the seed's error for a bad one)
+                            t = a.target
+                            leader = by_label.get(t)
+                            if (
+                                leader is None
+                                or leader.rid == i
+                                or (strict and prev_pos[leader.rid] != node)
+                            ):
+                                self._soa_check_follow_target(i, t, prev_pos)
+                            followers_once.append(i)
+                            once_leaders.append(leader.rid)
+                            continue
                         # _soa_cold may flush the active-round counter
                         self._ar_pending += pend
                         pend = 0
                         cold = True
                         track = self._soa_cold(
                             i, a, rnd, track,
-                            movers_i, movers_p, terminators, followers_once,
+                            movers_i, movers_p, terminators,
+                            followers_once, once_leaders,
                             deactivated, prev_pos,
                         )
 
@@ -635,18 +669,45 @@ class Scheduler:
                             active.remove(rid)
                         deactivated.clear()
 
-                # --- followers ride their leaders -----------------------
-                # A single mover carrying riders (the paper's Lemma-4
-                # groups) applies its cached rider list inline:
-                # label-sorted, it already is the general path's
-                # application order, and each inherited port is checked
-                # against the rider's own node (a non-co-located follower
-                # can inherit a port its node lacks).  follow_once rounds
-                # and rounds where several movers carry riders interleave
-                # chains, so they take the full propagation.
+                # --- followers take their leaders' moves ----------------
+                # One-round followers of leaders that are not following
+                # take the leader's port, read off the reverse of its entry
+                # edge; a single mover carrying riders (the paper's Lemma-4
+                # groups) hands its port to its cached rider list.  Both
+                # apply in label order (the general path's order) and check
+                # each inherited port against the follower's own node (a
+                # non-co-located follower can inherit a port its node
+                # lacks).  Chained one-round follows, one-round follows next
+                # to persistent followers, and several rider carriers take
+                # the full propagation.
                 if followers_once:
-                    self._soa_resolve_follows(movers_i, movers_p, followers_once)
+                    if followers_of or not set(followers_once).isdisjoint(once_leaders):
+                        if not track:
+                            self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
+                        self._soa_resolve_follows(
+                            movers_i, movers_p, followers_once, once_leaders
+                        )
+                    else:
+                        meet = self._meet_sleepers
+                        for f, l in zip(followers_once, once_leaders):
+                            node = pos[l]
+                            if node == prev_pos[l]:
+                                continue  # the leader did not move
+                            p = ent[row[node] + entry[l]]
+                            node = pos[f]
+                            if not 0 <= p < deg[node]:
+                                raise PortGraphError(
+                                    f"node {node} has degree {deg[node]}; port {p} is invalid"
+                                )
+                            j = row[node] + p
+                            pos[f] = nbr[j]
+                            entry[f] = ent[j]
+                            mvs[f] += 1
+                            if meet:
+                                movers_i.append(f)
+                                movers_p.append(p)
                     followers_once.clear()
+                    once_leaders.clear()
                 elif followers_of and movers_i:
                     riders = self._riders
                     if riders is None:
@@ -662,7 +723,7 @@ class Scheduler:
                             group = riders[movers_i[k]]
                             p = movers_p[k]
                         elif carriers:
-                            self._soa_resolve_follows(movers_i, movers_p, followers_once)
+                            self._soa_resolve_follows(movers_i, movers_p, (), ())
                     if group is not None:
                         # rider arrivals matter only to meet-sleepers
                         meet = self._meet_sleepers
@@ -681,11 +742,19 @@ class Scheduler:
                                 movers_p.append(p)
 
                 # --- commit occupancy, wake meet-sleepers ---------------
+                # Arrivals are tested against the meet-sleepers' nodes;
+                # only a hit pays the scan over every robot.
                 posset = set(pos)
                 occupied = len(posset)
                 if movers_i:
                     if self._meet_sleepers:
-                        self._soa_wake_meet(movers_i)
+                        meet_nodes = self._meet_nodes
+                        if meet_nodes is None:
+                            meet_nodes = self._build_meet_nodes()
+                        for m in movers_i:
+                            if pos[m] in meet_nodes:
+                                self._soa_wake_meet(movers_i)
+                                break
                     movers_i.clear()
                     movers_p.clear()
 
@@ -737,34 +806,26 @@ class Scheduler:
         self._own[i] = (r.card,)
 
     def _soa_reconstruct_movers(
-        self, prev_pos: List[int]
-    ) -> Tuple[List[int], List[int]]:
-        """Recover (rid, port) for every robot that has moved this round.
+        self, prev_pos: List[int], movers_i: List[int], movers_p: List[int]
+    ) -> None:
+        """Append (rid, port) for every robot that has moved this round.
 
-        Only called when a follow/meet-sleep action appears mid-sweep.  With
-        no self-loops (a SoA-mode precondition), ``pos != prev_pos`` is
-        exactly "moved", and (destination, entry port) identifies the edge
-        uniquely, hence the departure port.
+        Called while the sweep is not tracking movers (so both lists are
+        empty), when a follow/meet-sleep appears mid-sweep or a round's
+        one-round follows need the full propagation.  With no self-loops
+        (a SoA-mode precondition), ``pos != prev_pos`` is exactly "moved",
+        and the reverse of the entry edge -- the slot of the entry port at
+        the new node -- leads back through the departure port.
         """
-        movers_i: List[int] = []
-        movers_p: List[int] = []
         pos = self._pos
         entry = self._entry
         row = self._csr.row_offsets
-        nbr = self._csr.neighbor
         ent = self._csr.entry_port
-        for j in range(self._nrob):
-            old = prev_pos[j]
+        for j, old in enumerate(prev_pos):
             new = pos[j]
             if new != old:
-                e = entry[j]
-                base = row[old]
-                for slot in range(base, row[old + 1]):
-                    if nbr[slot] == new and ent[slot] == e:
-                        movers_i.append(j)
-                        movers_p.append(slot - base)
-                        break
-        return movers_i, movers_p
+                movers_i.append(j)
+                movers_p.append(ent[row[new] + entry[j]])
 
     def _soa_cold(
         self,
@@ -776,14 +837,15 @@ class Scheduler:
         movers_p: List[int],
         terminators: List[int],
         followers_once: List[int],
+        once_leaders: List[int],
         deactivated: List[int],
         prev_pos: List[int],
     ) -> bool:
-        """Everything the hot loop's one-comparison dispatch does not cover:
-        card/note-carrying moves and stays, sleeps, follows, terminates.
+        """Everything the hot loop's dispatch does not cover: card/note-
+        carrying actions, sleeps, persistent follows, terminates.
 
-        Returns the (possibly enabled) mover-tracking flag: follow and
-        meet-sleep actions need this round's movers, so if tracking is off
+        Returns the (possibly enabled) mover-tracking flag: persistent
+        follows and meet-sleeps need this round's movers, so if tracking is off
         when one appears, the movers applied so far are reconstructed and
         tracking stays on for the rest of the sweep.  (Notes are trace-only
         and the SoA regime never runs traced, so they are ignored here.)
@@ -834,10 +896,9 @@ class Scheduler:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
             if action.wake_on_meet:
                 self._meet_sleepers += 1
+                self._meet_nodes = None
                 if not track:
-                    mi, mp = self._soa_reconstruct_movers(prev_pos)
-                    movers_i[:] = mi
-                    movers_p[:] = mp
+                    self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
                     track = True
         elif kind == FOLLOW:
             self._soa_check_follow_target(i, action.target, prev_pos)
@@ -852,19 +913,12 @@ class Scheduler:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
             self._add_follower(r, action.target)
             if not track:
-                mi, mp = self._soa_reconstruct_movers(prev_pos)
-                movers_i[:] = mi
-                movers_p[:] = mp
+                self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
                 track = True
         elif kind == FOLLOW_ONCE:
             self._soa_check_follow_target(i, action.target, prev_pos)
-            r.leader_label = action.target
             followers_once.append(i)
-            if not track:
-                mi, mp = self._soa_reconstruct_movers(prev_pos)
-                movers_i[:] = mi
-                movers_p[:] = mp
-                track = True
+            once_leaders.append(self.by_label[action.target].rid)
         elif kind == TERMINATE:
             terminators.append(i)
         else:  # pragma: no cover - factory methods make this unreachable
@@ -918,7 +972,8 @@ class Scheduler:
         self,
         movers_i: List[int],
         movers_p: List[int],
-        followers_once: List[int],
+        followers_once: Sequence[int],
+        once_leaders: Sequence[int],
     ) -> None:
         """Follow resolution + application for SoA rounds.
 
@@ -928,27 +983,25 @@ class Scheduler:
         order, with the same validation and partial-application semantics
         on invalid inherited ports.
         """
-        robots = self.robots
+        labels = self._labels
         followers_of = self._followers_of
         once_by_leader: Dict[int, List[int]] = {}
-        for fid in followers_once:
-            once_by_leader.setdefault(robots[fid].leader_label, []).append(fid)
+        for fid, lid in zip(followers_once, once_leaders):
+            once_by_leader.setdefault(lid, []).append(fid)
         assigned: List[Tuple[int, int]] = []
-        stack = [(robots[i].label, p) for i, p in zip(movers_i, movers_p)]
+        stack = list(zip(movers_i, movers_p))
         while stack:
-            label, port = stack.pop()
-            fs = followers_of.get(label)
+            i, port = stack.pop()
+            fs = followers_of.get(labels[i])
             if fs:
                 for f in fs:
                     assigned.append((f.rid, port))
-                    stack.append((f.label, port))
-            fids = once_by_leader.get(label)
+                    stack.append((f.rid, port))
+            fids = once_by_leader.get(i)
             if fids:
                 for fid in fids:
                     assigned.append((fid, port))
-                    stack.append((robots[fid].label, port))
-        for fid in followers_once:
-            robots[fid].leader_label = None
+                    stack.append((fid, port))
         if not assigned:
             return
         assigned.sort()  # rid order == label order
@@ -971,6 +1024,17 @@ class Scheduler:
             mvs[fid] += 1
             movers_i.append(fid)
             movers_p.append(port)
+
+    def _build_meet_nodes(self) -> set:
+        """Rebuild the set of nodes holding a ``wake_on_meet`` sleeper."""
+        pos = self._pos
+        nodes = {
+            pos[r.rid]
+            for r in self.robots
+            if r.status == SLEEPING and r.wake_on_meet
+        }
+        self._meet_nodes = nodes
+        return nodes
 
     def _soa_wake_meet(self, movers_i: List[int]) -> None:
         """Flag every ``wake_on_meet`` sleeper on a node that received an
@@ -1086,6 +1150,7 @@ class Scheduler:
                     heapq.heappush(self._wake_heap, (action.wake_round, r.rid))
                 if action.wake_on_meet:
                     self._meet_sleepers += 1
+                    self._meet_nodes = None
                 if trace is not None:
                     trace.record(rnd, "sleep", r.label, action.wake_round)
             elif kind == FOLLOW:

@@ -287,6 +287,7 @@ def test_follow_cycle_and_once_chains():
         ]
 
     run_both(g, make_specs)
+    run_both_untraced(g, make_specs)
 
 
 def test_wake_on_meet_and_jump_interleaving():
@@ -359,9 +360,8 @@ def test_card_publication_timing_with_cache():
 def test_remote_follower_invalid_inherited_port_raises_like_seed():
     """Non-strict mode lets a follower track a non-co-located leader; if it
     inherits a port its own node lacks, both schedulers must raise
-    PortGraphError (not walk another node's CSR slots, not IndexError)."""
-    from repro.graphs.port_graph import PortGraphError
-
+    PortGraphError (not walk another node's CSR slots, not IndexError),
+    traced and untraced (the SoA loop's one-round follows)."""
     g = gg.path(4)
 
     def leader(ctx):
@@ -374,19 +374,23 @@ def test_remote_follower_invalid_inherited_port_raises_like_seed():
         obs = yield Action.follow_once(2)  # at node 0: degree 1, port 1 invalid
         yield Action.terminate()
 
-    outcomes = []
-    for cls in (Scheduler, ReferenceScheduler):
-        trace = TraceRecorder()
-        sched = cls(g, [_spec(2, 1, leader), _spec(1, 0, follower)], trace=trace)
-        with pytest.raises(PortGraphError) as exc:
-            sched.run(max_rounds=50)
-        # the leader's move applies before the follower's raises, in both
-        outcomes.append((str(exc.value), sched.positions(), trace.events))
-    assert outcomes[0] == outcomes[1]
-    message, positions, events = outcomes[0]
-    assert "degree 1" in message and "port 1" in message
-    assert positions == {1: 0, 2: 2}
-    assert [e.kind for e in events] == ["move"]  # the leader's applied move
+    for traced in (True, False):
+        outcomes = []
+        for cls in (Scheduler, ReferenceScheduler):
+            trace = TraceRecorder() if traced else None
+            sched = cls(g, [_spec(2, 1, leader), _spec(1, 0, follower)], trace=trace)
+            with pytest.raises(PortGraphError) as exc:
+                sched.run(max_rounds=50)
+            # the leader's move applies before the follower's raises, in both
+            outcomes.append(
+                (str(exc.value), sched.positions(), trace.events if traced else None)
+            )
+        assert outcomes[0] == outcomes[1]
+        message, positions, events = outcomes[0]
+        assert "degree 1" in message and "port 1" in message
+        assert positions == {1: 0, 2: 2}
+        if traced:
+            assert [e.kind for e in events] == ["move"]  # the leader's applied move
 
 
 def test_stop_on_gather_runs_match():
@@ -527,6 +531,24 @@ def test_matrix_uxs_untraced_soa(name, graph, general_steps):
     def make_specs():
         return [
             RobotSpec(label=l, start=s, factory=uxs_gathering_program())
+            for l, s in zip(labels, starts)
+        ]
+
+    fast = run_both_untraced(graph, make_specs)
+    assert fast.all_terminated(), name
+    assert general_steps == [], name
+
+
+@pytest.mark.parametrize("name,graph", FAMILY_INSTANCES, ids=IDS)
+def test_matrix_undispersed_untraced_soa(name, graph, general_steps):
+    """Undispersed-Gathering from undispersed starts: helpers escort their
+    finder with one-round follows and park as meet-sleepers."""
+    starts = undispersed_placement(graph, 4, seed=42)
+    labels = assign_labels(4, graph.n, seed=42)
+
+    def make_specs():
+        return [
+            RobotSpec(label=l, start=s, factory=undispersed_gathering_program())
             for l, s in zip(labels, starts)
         ]
 
@@ -746,6 +768,93 @@ def test_rider_arrival_wakes_meet_sleeper_untraced_soa(general_steps):
     fast = run_both_untraced(g, make_specs)
     assert fast.all_terminated()
     assert woke == [2, 2]  # fast, then seed
+    assert general_steps == []
+
+
+def test_once_follower_arrival_wakes_meet_sleeper_untraced_soa(general_steps):
+    """The one-round twin of the rider test above: a ``follow_once``
+    follower on another node takes its leader's port and lands on a
+    meet-sleeper's node, whose wake must come from the follower's
+    arrival."""
+    g = gg.ring(8)
+    port = 0
+    landing, _ = g.traverse(4, port)
+    assert landing != g.traverse(0, port)[0]
+    woke = []
+
+    def leader(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        obs = yield Action.move(port)
+        yield Action.terminate()
+
+    def once_follower(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        obs = yield Action.follow_once(5)
+        yield Action.terminate()
+
+    def sleeper(ctx):
+        obs = yield
+        obs = yield Action.sleep(40, wake_on_meet=True)
+        woke.append(obs.round)
+        yield Action.terminate()
+
+    def make_specs():
+        return [
+            _spec(5, 0, leader),
+            _spec(3, 4, once_follower),
+            _spec(2, landing, sleeper),
+        ]
+
+    fast = run_both_untraced(g, make_specs)
+    assert fast.all_terminated()
+    assert woke == [2, 2]  # fast, then seed
+    assert general_steps == []
+
+
+def test_new_meet_sleeper_wakes_after_node_set_built_untraced_soa(general_steps):
+    """The SoA commit tests arrivals against the nodes of the meet-sleepers,
+    a set built at the first commit with movers.  Robot 3 meet-sleeps from
+    round 0, so round 1's move builds that set; robot 2 starts meet-sleeping
+    on another node in round 2, the round robot 1 arrives there, and must
+    wake in round 3 -- the new sleep has to drop the stale set."""
+    g = gg.ring(8)
+    hop, _ = g.traverse(0, 0)
+    second, _ = g.traverse(hop, 0)
+    first = next(v for v in range(g.n) if v not in (0, hop, second))
+    woke = []
+
+    def walker(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        obs = yield Action.move(0)
+        obs = yield Action.move(0)  # arrives on robot 2's node
+        yield Action.terminate()
+
+    def late_sleeper(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        obs = yield Action.stay()
+        obs = yield Action.sleep(40, wake_on_meet=True)
+        woke.append(obs.round)
+        yield Action.terminate()
+
+    def early_sleeper(ctx):
+        obs = yield
+        obs = yield Action.sleep(50, wake_on_meet=True)
+        yield Action.terminate()
+
+    def make_specs():
+        return [
+            _spec(1, 0, walker),
+            _spec(2, second, late_sleeper),
+            _spec(3, first, early_sleeper),
+        ]
+
+    fast = run_both_untraced(g, make_specs)
+    assert fast.all_terminated()
+    assert woke == [3, 3]  # fast, then seed
     assert general_steps == []
 
 

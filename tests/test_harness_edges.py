@@ -24,6 +24,48 @@ class TestUxsVerificationGate:
         with pytest.raises(UxsCertificationError):
             verify_uxs_for_graph(gg.ring(8))
 
+    def test_failing_graph_raises_on_every_call(self, monkeypatch):
+        import repro.analysis.experiments as exps
+
+        bogus = UxsPlan(8, (0, 0, 0), provenance="fixed")
+        monkeypatch.setattr(exps, "practical_plan", lambda n: bogus)
+        g = gg.ring(8)
+        for _ in range(3):
+            with pytest.raises(UxsCertificationError):
+                verify_uxs_for_graph(g)
+
+    def test_memo_does_not_answer_for_another_plan(self, monkeypatch):
+        """A graph certified with the real plan must be checked again, and
+        fail, once ``practical_plan`` hands out a different plan."""
+        import repro.analysis.experiments as exps
+
+        g = gg.ring(8)
+        verify_uxs_for_graph(g)  # passes, and is remembered
+        bogus = UxsPlan(8, (0, 0, 0), provenance="fixed")
+        monkeypatch.setattr(exps, "practical_plan", lambda n: bogus)
+        with pytest.raises(UxsCertificationError):
+            verify_uxs_for_graph(g)
+
+    def test_pass_remembered_until_graph_cache_clear(self, monkeypatch):
+        import repro.analysis.experiments as exps
+        from repro.runtime import graph_cache
+
+        checks = []
+        covers = exps.covers_all_starts
+
+        def spy(graph, offsets):
+            checks.append(graph)
+            return covers(graph, offsets)
+
+        monkeypatch.setattr(exps, "covers_all_starts", spy)
+        g = gg.ring(8)
+        verify_uxs_for_graph(g)
+        verify_uxs_for_graph(g)
+        assert checks == [g]
+        graph_cache.clear()
+        verify_uxs_for_graph(g)
+        assert checks == [g, g]
+
     def test_skip_for_non_uxs_algorithms(self, monkeypatch):
         import repro.analysis.experiments as exps
 
