@@ -21,7 +21,7 @@ no executor.)
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import regime_for
 from repro.analysis.fitting import loglog_slope
@@ -268,7 +268,6 @@ def scenario_sweep(
     root_seed: Optional[int] = None,
     stats: Optional[ExecutionStats] = None,
     replicas: int = 1,
-    batch: Union[bool, str] = False,
     engine: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one registered scenario and derive its fault metrics.
@@ -298,8 +297,7 @@ def scenario_sweep(
     differ-only-by-seed groups (the clean siblings and their twins)
     through the lockstep replica engine — bit-identical rows, less
     wall-clock; scalar engine names pin the simulation backend instead
-    (see docs/ENGINES.md).  ``batch=True`` is the deprecated spelling of
-    the replica engines and maps onto ``engine``.
+    (see docs/ENGINES.md).
     """
     # Imported here, not at module top: repro.scenarios sits above the
     # runtime layer this module feeds, and a top-level import would tie the
@@ -348,8 +346,7 @@ def scenario_sweep(
         twin_index[i] = seen_twins[key]
 
     result = execute(
-        campaign, executor=executor, cache=cache, stats=stats, batch=batch,
-        engine=engine,
+        campaign, executor=executor, cache=cache, stats=stats, engine=engine,
     )
     outcomes = result.outcomes
 

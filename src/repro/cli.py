@@ -78,7 +78,6 @@ from repro.campaigns import (
 )
 from repro.scenarios import all_scenarios, get_scenario, scenario_names
 from repro.search.space import target_names
-from repro.sim.batch import HAVE_NUMPY
 
 __all__ = ["main"]
 
@@ -166,26 +165,6 @@ def runtime_requested(args) -> bool:
     return args.workers is not None or bool(args.cache_dir)
 
 
-def resolve_engine_flag(args) -> Optional[str]:
-    """The engine name the flags select, mapping deprecated ``--batch``.
-
-    ``--batch`` stays accepted for one release as an alias for the best
-    available replica backend; it warns on stderr so scripts migrate to
-    ``--engine batch-numpy`` / ``--engine batch-list`` (an explicit
-    ``--engine`` wins when both are given).
-    """
-    engine = getattr(args, "engine", None)
-    if getattr(args, "batch", False):
-        print(
-            "warning: --batch is deprecated; use --engine batch-numpy "
-            "(or --engine batch-list)",
-            file=sys.stderr,
-        )
-        if engine is None:
-            engine = "batch-numpy" if HAVE_NUMPY else "batch-list"
-    return engine
-
-
 def runtime_context(args) -> str:
     """Scenario / knowledge-ablation suffix for the runtime summary line,
     so the accounting says *what* ran, not just how much."""
@@ -196,8 +175,6 @@ def runtime_context(args) -> str:
         parts.append(f"replicas={args.replicas}")
     if getattr(args, "engine", None):
         parts.append(f"engine={args.engine}")
-    if getattr(args, "batch", False):
-        parts.append("batch=on")
     if getattr(args, "max_degree", None) is not None:
         parts.append(f"knowledge[max_degree]={args.max_degree}")
     if getattr(args, "hop_distance", None) is not None:
@@ -362,9 +339,7 @@ def cmd_sweep(args) -> int:
         swept = cache.sweep_stale_tmp()
         cache.refresh()
     specs = sweep_specs(args)
-    result = _profiled_execute(
-        args, specs, cache=cache, engine=resolve_engine_flag(args)
-    )
+    result = _profiled_execute(args, specs, cache=cache, engine=args.engine)
     result.stats.tmp_swept += swept
     if replicas > 1:
         # One aggregate row per n: a replica campaign reports the seed
@@ -434,7 +409,7 @@ def _sweep_scenario(args) -> int:
     _reject_ignored_flags(
         args,
         ["sweep", "--scenario", args.scenario],
-        {"scenario", "workers", "cache_dir", "profile", "replicas", "batch", "engine"},
+        {"scenario", "workers", "cache_dir", "profile", "replicas", "engine"},
         f"--scenario {args.scenario} runs the registry's pinned specs",
     )
     args.name = args.scenario
@@ -489,7 +464,7 @@ def cmd_scenarios_run(args) -> int:
             executor=SerialExecutor() if profiling else make_executor(args),
             cache=make_cache(args),
             replicas=getattr(args, "replicas", 1),
-            engine=resolve_engine_flag(args),
+            engine=args.engine,
         )
     print(render_table(out["rows"], title=f"scenario: {args.name}"))
     summary = out["summary"]
@@ -729,7 +704,7 @@ def cmd_campaign_run(args) -> int:
         manifest,
         args.cache_dir,
         workers=args.workers,
-        engine=resolve_engine_flag(args),
+        engine=args.engine,
         lease_timeout=args.lease_timeout,
         idle_timeout=args.idle_timeout,
     )
@@ -806,9 +781,6 @@ def make_parser() -> argparse.ArgumentParser:
                              "scalar scheduler); batch-* engines run "
                              "differ-only-by-seed groups in lockstep — all "
                              "backends are bit-identical; see docs/ENGINES.md")
-        sp.add_argument("--batch", action="store_true",
-                        help="deprecated alias for '--engine batch-numpy' "
-                             "(accepted for one release, warns on stderr)")
 
     def common(sp):
         sp.add_argument("--family", choices=sorted(gg.FAMILIES), default="ring")

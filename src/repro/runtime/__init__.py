@@ -15,7 +15,7 @@ reports):
   a batch builds each topology once instead of once per spec;
 * :class:`BatchRunSpec` / ``execute(engine="batch-numpy")`` — lockstep
   replica batching: specs that differ only by seed run as one fleet through
-  :class:`repro.sim.ReplicaBatch`, amortizing graph checks and per-round
+  :class:`repro.sim.batch.ReplicaBatch`, amortizing graph checks and per-round
   overhead while keeping records and cache keys bit-identical;
 * ``execute(engine=...)`` — single-flag simulation-backend dispatch: every
   registered engine (:func:`repro.sim.engines.list_engines`) is selectable

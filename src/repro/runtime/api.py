@@ -19,9 +19,8 @@ many ran, hit, and failed.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from repro.analysis.experiments import GatheringRun
 from repro.runtime.cache import ResultCache
@@ -32,25 +31,9 @@ from repro.runtime.executor import (
     assign_seeds,
 )
 from repro.runtime.spec import RunOutcome, RunSpec, group_into_batches
-from repro.sim.batch import HAVE_NUMPY
 from repro.sim.engines import get_engine
 
 __all__ = ["ExecutionStats", "ExecutionResult", "execute", "run_specs"]
-
-
-def _engine_for_legacy_batch(batch: Union[bool, str]) -> str:
-    """Map the deprecated ``batch=`` values onto engine names.
-
-    ``True``/``"auto"`` resolve exactly as the replica engine's ``auto``
-    backend did: numpy bookkeeping when importable, list otherwise.
-    """
-    if batch is True or batch == "auto":
-        return "batch-numpy" if HAVE_NUMPY else "batch-list"
-    if batch in ("numpy", "list", "numpy2d"):
-        return f"batch-{batch}"
-    raise ValueError(
-        f"unknown batch backend {batch!r}; known: ['auto', 'list', 'numpy', 'numpy2d']"
-    )
 
 
 @dataclass
@@ -143,7 +126,6 @@ def execute(
     progress: Optional[ProgressCallback] = None,
     stats: Optional[ExecutionStats] = None,
     cache_chunk: Optional[int] = None,
-    batch: Union[bool, str] = False,
     engine: Optional[str] = None,
 ) -> ExecutionResult:
     """Run a batch of specs through an executor, consulting the cache.
@@ -179,23 +161,10 @@ def execute(
       fall back to the default scalar path, exactly as replica batching
       always has.  Cache hits short-circuit before grouping, so a
       partially cached campaign batches only what actually runs.
-
-    ``batch=...`` is the deprecated spelling of the replica backends
-    (``True``/``"auto"`` → the best available, ``"numpy"``/``"list"`` →
-    pinned); it maps onto ``engine`` and warns.
     """
     t0 = time.perf_counter()
     if cache_chunk is not None and cache_chunk < 1:
         raise ValueError("cache_chunk must be >= 1")
-    if batch:
-        warnings.warn(
-            "execute(batch=...) is deprecated; use engine='batch-numpy' or "
-            "engine='batch-list' (see docs/ENGINES.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if engine is None:
-            engine = _engine_for_legacy_batch(batch)
     scalar_engine: Optional[str] = None
     batch_backend: Optional[str] = None
     if engine is not None:

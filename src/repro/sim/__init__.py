@@ -30,8 +30,6 @@ selects one, and all conforming backends return bit-identical results (see
 docs/ENGINES.md).
 """
 
-import warnings
-
 from repro.sim.actions import Action, Observation
 from repro.sim.activation import (
     ActivationModel,
@@ -76,9 +74,6 @@ __all__ = [
     "RobotSpec",
     "World",
     "RunResult",
-    "ReplicaBatch",
-    "ReplicaOutcome",
-    "BatchSummary",
     "SimulationError",
     "SimulationTimeout",
     "SimulationDeadlock",
@@ -86,24 +81,3 @@ __all__ = [
     "TraceRecorder",
     "Event",
 ]
-
-#: Names that used to be eager re-exports and are now served lazily with a
-#: deprecation warning: the replica engine is an engine *backend* — select
-#: it as ``engine="batch-list"/"batch-numpy"`` (or import the classes from
-#: :mod:`repro.sim.batch` directly when driving it by hand).
-_DEPRECATED_REEXPORTS = {"ReplicaBatch", "ReplicaOutcome", "BatchSummary"}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_REEXPORTS:
-        warnings.warn(
-            f"importing {name} from repro.sim is deprecated; import it from "
-            f"repro.sim.batch, or select the backend by name via the engine "
-            f"registry (repro.sim.engines, docs/ENGINES.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.sim import batch as _batch
-
-        return getattr(_batch, name)
-    raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")

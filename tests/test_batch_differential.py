@@ -8,7 +8,7 @@ pins, for both bookkeeping backends (NumPy and the pure-list fallback):
 * engine-level identity — positions, statuses, rounds, and every
   :class:`~repro.sim.metrics.RunMetrics` field against scalar
   ``World.run`` on real algorithms over the integration-matrix instances;
-* runtime-level identity — ``execute(batch=...)`` records (including the
+* runtime-level identity — ``execute(engine="batch-...")`` records (including the
   memoized pair-distance column) byte-equal to scalar records, cache keys
   interchangeable in both directions;
 * failure parity — timeouts and poisoned replicas produce the scalar
@@ -60,6 +60,9 @@ from tests.test_integration_matrix import FAMILY_INSTANCES
 DIFF_SCALE = max(1, int(os.environ.get("REPRO_DIFF_SCALE", "1")))
 
 BACKEND_NAMES = sorted(BACKENDS)
+
+#: The best available replica engine (numpy bookkeeping when importable).
+BATCH_ENGINE = "batch-numpy" if HAVE_NUMPY else "batch-list"
 
 
 def metrics_dict(m):
@@ -177,7 +180,7 @@ def test_engine_isolates_construction_failures():
 
 
 # ---------------------------------------------------------------------------
-# Runtime-level: execute(batch=...) vs scalar execute
+# Runtime-level: execute(engine="batch-...") vs scalar execute
 # ---------------------------------------------------------------------------
 
 
@@ -194,7 +197,7 @@ def _campaign_specs(replicas=None):
 def test_runtime_records_byte_identical(backend):
     specs = _campaign_specs()
     scalar = execute(specs, executor=SerialExecutor())
-    batched = execute(specs, executor=SerialExecutor(), batch=backend)
+    batched = execute(specs, executor=SerialExecutor(), engine=f"batch-{backend}")
     assert batched.stats.batched == len(specs)
     assert scalar.stats.batched == 0
     for a, b in zip(scalar.outcomes, batched.outcomes):
@@ -209,8 +212,8 @@ def test_cache_keys_interchangeable_both_directions(tmp_path):
     specs = _campaign_specs(4)
     scalar_dir, batch_dir = tmp_path / "scalar", tmp_path / "batch"
     execute(specs, cache=ResultCache(scalar_dir))
-    execute(specs, cache=ResultCache(batch_dir), batch=True)
-    from_scalar = execute(specs, cache=ResultCache(scalar_dir), batch=True)
+    execute(specs, cache=ResultCache(batch_dir), engine=BATCH_ENGINE)
+    from_scalar = execute(specs, cache=ResultCache(scalar_dir), engine=BATCH_ENGINE)
     assert from_scalar.stats.cache_hits == len(specs)
     from_batch = execute(specs, cache=ResultCache(batch_dir))
     assert from_batch.stats.cache_hits == len(specs)
@@ -224,9 +227,9 @@ def test_parallel_batched_execution_matches_serial(tmp_path):
     specs = _campaign_specs(4) + [
         replace(_campaign_specs(1)[0], graph={"n": 10}, seed=s) for s in range(4)
     ]
-    serial = execute(specs, executor=SerialExecutor(), batch=True)
+    serial = execute(specs, executor=SerialExecutor(), engine=BATCH_ENGINE)
     parallel = execute(
-        specs, executor=ParallelExecutor(workers=2, mp_context="fork"), batch=True
+        specs, executor=ParallelExecutor(workers=2, mp_context="fork"), engine=BATCH_ENGINE
     )
     for a, b in zip(serial.outcomes, parallel.outcomes):
         assert a.spec == b.spec
@@ -236,7 +239,7 @@ def test_parallel_batched_execution_matches_serial(tmp_path):
 def test_timeout_error_parity():
     specs = [replace(s, max_rounds=5) for s in _campaign_specs(3)]
     scalar = execute(specs, executor=SerialExecutor())
-    batched = execute(specs, executor=SerialExecutor(), batch=True)
+    batched = execute(specs, executor=SerialExecutor(), engine=BATCH_ENGINE)
     assert scalar.stats.failures == batched.stats.failures == 3
     for a, b in zip(scalar.outcomes, batched.outcomes):
         assert not a.ok and not b.ok
@@ -250,7 +253,7 @@ def test_stop_on_gather_parity():
     )
     specs = [replace(base, seed=s) for s in range(4)]
     scalar = execute(specs, executor=SerialExecutor())
-    batched = execute(specs, executor=SerialExecutor(), batch=True)
+    batched = execute(specs, executor=SerialExecutor(), engine=BATCH_ENGINE)
     for a, b in zip(scalar.outcomes, batched.outcomes):
         assert a.run.to_dict() == b.run.to_dict()
         assert b.run.first_gather_round is not None
@@ -260,7 +263,7 @@ def test_batch_level_failure_hits_every_replica_identically():
     base = RunSpec(algorithm="no-such-algo", family="ring", graph={"n": 8})
     specs = [replace(base, seed=s) for s in range(3)]
     scalar = execute(specs, executor=SerialExecutor())
-    batched = execute(specs, executor=SerialExecutor(), batch=True)
+    batched = execute(specs, executor=SerialExecutor(), engine=BATCH_ENGINE)
     for a, b in zip(scalar.outcomes, batched.outcomes):
         assert (a.error_type, a.error) == (b.error_type, b.error)
 
@@ -300,7 +303,7 @@ class TestGrouping:
         specs = _campaign_specs(3)
         odd = replace(specs[0], activation="round-robin", seed=77)
         mixed = [specs[0], odd, specs[1], specs[2]]
-        result = execute(mixed, executor=SerialExecutor(), batch=True)
+        result = execute(mixed, executor=SerialExecutor(), engine=BATCH_ENGINE)
         assert [o.spec for o in result.outcomes] == mixed
         assert [o.batched for o in result.outcomes] == [True, False, True, True]
 

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cli import main
+from repro.sim.batch import HAVE_NUMPY
+
+#: The replica engine the removed ``--batch`` alias used to select.
+LEGACY_BATCH_ENGINE = "batch-numpy" if HAVE_NUMPY else "batch-list"
 
 
 class TestInformational:
@@ -75,18 +79,18 @@ class TestReplicaFlags:
         assert "log-log slope" in out
 
     def test_sweep_batch_routes_through_engine(self, capsys):
-        rc = main(["sweep", "--ns", "8", "--replicas", "3", "--batch",
-                   "--workers", "1"])
+        rc = main(["sweep", "--ns", "8", "--replicas", "3",
+                   "--engine", LEGACY_BATCH_ENGINE, "--workers", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         # replicas 1.. group and batch; replica 0 keeps its pinned seeds
-        assert "(2 batched)" in out and "batch=on" in out
+        assert "(2 batched)" in out and f"engine={LEGACY_BATCH_ENGINE}" in out
 
     def test_sweep_batched_rows_equal_scalar_rows(self, capsys):
         argv = ["sweep", "--ns", "8", "12", "--replicas", "3"]
         assert main(argv) == 0
         scalar_out = capsys.readouterr().out.splitlines()
-        assert main(argv + ["--batch"]) == 0
+        assert main(argv + ["--engine", LEGACY_BATCH_ENGINE]) == 0
         batched_out = capsys.readouterr().out.splitlines()
         # the table is identical; only the (optional) runtime line differs
         table = [l for l in scalar_out if "|" in l or "slope" in l]
@@ -95,14 +99,14 @@ class TestReplicaFlags:
 
     def test_scenarios_run_replicas(self, capsys):
         rc = main(["scenarios", "run", "clean-sync", "--replicas", "2",
-                   "--batch", "--workers", "1"])
+                   "--engine", LEGACY_BATCH_ENGINE, "--workers", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "replica" in out  # the per-row replica column appears
 
     def test_sweep_scenario_honors_replica_flags(self, capsys):
         rc = main(["sweep", "--scenario", "clean-sync", "--replicas", "2",
-                   "--batch"])
+                   "--engine", LEGACY_BATCH_ENGINE])
         assert rc == 0
         assert "replica" in capsys.readouterr().out
 
@@ -113,10 +117,12 @@ class TestReplicaFlags:
 
 class TestEngineFlag:
     def test_sweep_engine_batch_rows_equal_legacy_batch_rows(self, capsys):
+        """``batch-list`` rows equal those of the engine the removed
+        ``--batch`` alias selected (numpy bookkeeping when importable)."""
         argv = ["sweep", "--ns", "8", "--replicas", "3", "--workers", "1"]
         assert main(argv + ["--engine", "batch-list"]) == 0
         engine_out = capsys.readouterr().out.splitlines()
-        assert main(argv + ["--batch"]) == 0
+        assert main(argv + ["--engine", LEGACY_BATCH_ENGINE]) == 0
         legacy_out = capsys.readouterr().out.splitlines()
         table_e = [l for l in engine_out if "|" in l or "slope" in l]
         table_l = [l for l in legacy_out if "|" in l or "slope" in l]
@@ -137,25 +143,16 @@ class TestEngineFlag:
             assert table(lines) == default_table, name
             assert any(f"engine={name}" in l for l in lines), name
 
-    def test_batch_flag_warns_deprecated_on_stderr(self, capsys):
-        rc = main(["sweep", "--ns", "8", "--replicas", "2", "--batch",
-                   "--workers", "1"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "--batch is deprecated" in err
-        assert "--engine batch-numpy" in err
-
-    def test_explicit_engine_wins_over_legacy_batch(self, capsys):
-        rc = main(["sweep", "--ns", "8", "--replicas", "2", "--batch",
-                   "--engine", "soa", "--workers", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "engine=soa" in out
-        assert "batched" not in out  # nothing routed through the replica engine
-
     def test_unknown_engine_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--ns", "8", "--engine", "warp-drive"])
+
+    def test_removed_batch_alias_rejected_by_parser(self, capsys):
+        for argv in (["sweep", "--ns", "8", "--batch"],
+                     ["scenarios", "run", "clean-sync", "--batch"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
     def test_scenarios_run_engine_flag(self, capsys):
         rc = main(["scenarios", "run", "clean-sync", "--replicas", "2",

@@ -32,6 +32,7 @@ from repro.analysis.placement import (
     dispersed_random,
     undispersed_placement,
 )
+from repro.analysis.sweeps import scenario_sweep
 from repro.core.faster_gathering import faster_gathering_program
 from repro.core.undispersed import undispersed_gathering_program
 from repro.core.uxs_gathering import uxs_gathering_program
@@ -447,16 +448,16 @@ def test_runtime_records_and_cache_keys_identical(engine, tmp_path):
     assert [o.run_or_raise() for o in rerun.outcomes] == records
 
 
-def test_legacy_batch_flag_maps_to_engine_and_warns():
-    specs = _runtime_specs()
-    with pytest.warns(DeprecationWarning, match="engine='batch-numpy'"):
-        legacy = execute(specs, executor=SerialExecutor(), batch=True)
-    name = "batch-numpy" if HAVE_NUMPY else "batch-list"
-    current = execute(specs, executor=SerialExecutor(), engine=name)
-    assert [o.run_or_raise() for o in legacy.outcomes] == [
-        o.run_or_raise() for o in current.outcomes
-    ]
-    assert legacy.stats.batched == current.stats.batched == len(specs)
+def test_engine_name_is_the_only_replica_batching_spelling():
+    """The pre-registry spellings are gone: ``batch=`` is no keyword of
+    ``execute`` or ``scenario_sweep``, and ``repro.sim`` no longer serves
+    the replica classes (they live in :mod:`repro.sim.batch`)."""
+    with pytest.raises(TypeError, match="batch"):
+        execute(_runtime_specs(), executor=SerialExecutor(), batch=True)
+    with pytest.raises(TypeError, match="batch"):
+        scenario_sweep("clean-sync", batch=True)
+    with pytest.raises(ImportError):
+        from repro.sim import ReplicaBatch  # noqa: F401
 
 
 def test_world_run_default_is_the_default_engine():
