@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class GatheringRun:
     """Flat record of one gathering run (benchmark row material)."""
 

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
@@ -48,6 +46,10 @@ DEFAULT_LEASE_TIMEOUT = 300.0
 
 def default_owner() -> str:
     """A debuggable, collision-proof worker identity."""
+    # imported here, as below: only campaign workers need them
+    import socket
+    import uuid
+
     return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
 
 
@@ -131,6 +133,8 @@ class LeaseManager:
             return None
         # Stale.  Atomically tombstone it (single rename winner), then
         # compete for a fresh claim like everyone else.
+        import uuid
+
         tombstone = path.with_name(f"{path.name}.reclaim.{uuid.uuid4().hex[:8]}")
         try:
             os.rename(path, tombstone)

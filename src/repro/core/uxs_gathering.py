@@ -24,7 +24,7 @@ property on every experiment graph (see :mod:`repro.uxs`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.core import bounds
 from repro.core.proglets import highest_free_label, wait_for_merge
@@ -36,25 +36,22 @@ from repro.uxs.sequence import UxsPlan
 __all__ = ["uxs_phase", "uxs_explore", "uxs_gathering_program"]
 
 
-def uxs_explore(
-    obs: Observation,
-    offsets,
-    my_label: int,
-    card: Optional[Dict[str, Any]] = None,
-):
+def uxs_explore(obs: Observation, offsets, my_label: int):
     """Walk the full exploration sequence (one move per round).
 
-    Starts with virtual entry port 0 (matching the certification walks in
-    :mod:`repro.uxs.verify`).  After every move the merge rule is checked;
-    returns ``(obs, leader)`` early when a higher free robot is found,
+    Yields one declared walk (:meth:`Action.walk`): step ``s`` leaves
+    through ``(e + offsets[s]) mod degree``, starting from the virtual
+    entry port 0 of the certification walks in :mod:`repro.uxs.verify`.
+    The engine hands control back only when the co-located cards change
+    or the walk ends, and the merge rule reads nothing but the cards, so
+    checking it at each hand-back is checking it after every move: the
+    caller has already judged the cards seen at the first declaration.
+    Returns ``(obs, leader)`` early when a higher free robot is found,
     ``(obs, None)`` after the last symbol.
     """
-    e = 0
-    for sym in offsets:
-        p = (e + sym) % obs.degree
-        obs = yield Action.move(p, card=card)
-        card = None
-        e = obs.entry_port
+    walk = Action.walk(offsets)
+    while walk.steps < len(offsets):
+        obs = yield walk
         leader = highest_free_label(obs.cards, exclude=my_label)
         if leader is not None and leader > my_label:
             return obs, leader

@@ -21,7 +21,7 @@ quantify the failure modes:
 from __future__ import annotations
 
 from repro.sim.actions import Action
-from repro.sim.robot import ProgramFactory, RobotContext
+from repro.sim.robot import ProgramFactory, RobotContext, expand_walks
 
 __all__ = ["crash_at"]
 
@@ -33,13 +33,15 @@ def crash_at(factory: ProgramFactory, round_: int) -> ProgramFactory:
     active at or after ``round_``; it then terminates in place, regardless
     of what the inner program wanted to do.  (A sleeping robot crashes at
     its next activation — modelling a fail-stop that nobody can observe
-    until they would have interacted with it anyway.)
+    until they would have interacted with it anyway.)  The inner program
+    runs through :func:`~repro.sim.robot.expand_walks`, so a crash due
+    mid-walk still fires at its round instead of after the walk.
     """
     if round_ < 0:
         raise ValueError("crash round must be >= 0")
 
     def wrapped(ctx: RobotContext):
-        inner = factory(ctx)
+        inner = expand_walks(factory(ctx), ctx.label)
 
         def program():
             obs = yield

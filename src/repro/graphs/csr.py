@@ -37,7 +37,7 @@ __all__ = ["CSRPortGraph", "bfs_distances_csr", "is_connected_csr"]
 class CSRPortGraph:
     """Flat-array compiled view of one port graph (see module docstring)."""
 
-    __slots__ = ("n", "row_offsets", "neighbor", "entry_port", "degree", "_selfloop")
+    __slots__ = ("n", "row_offsets", "neighbor", "entry_port", "degree")
 
     def __init__(self, adjacency: Iterable[Tuple[Tuple[int, int], ...]]):
         row_offsets: List[int] = [0]
@@ -57,30 +57,6 @@ class CSRPortGraph:
         self.neighbor = neighbor
         self.entry_port = entry_port
         self.degree = degree
-        self._selfloop: bool | None = None
-
-    @property
-    def has_self_loop(self) -> bool:
-        """Whether any edge returns to its own endpoint.
-
-        Computed once, lazily, and cached on the (shared, immutable)
-        compiled graph: the scheduler's SoA regime relies on "position
-        changed <=> robot moved", which a self-loop would break, so it
-        checks this flag at construction time.
-        """
-        if self._selfloop is None:
-            row = self.row_offsets
-            nbr = self.neighbor
-            found = False
-            for v in range(self.n):
-                for i in range(row[v], row[v + 1]):
-                    if nbr[i] == v:
-                        found = True
-                        break
-                if found:
-                    break
-            self._selfloop = found
-        return self._selfloop
 
     # ------------------------------------------------------------------
     # O(1) primitives.  Hot loops should not call these methods — bind the

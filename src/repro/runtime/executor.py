@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
@@ -195,6 +193,17 @@ def _execute_chunk(specs: List[RunSpec], engine: Optional[str] = None) -> List[R
     return [execute_spec(s, engine=engine) for s in specs]
 
 
+def _pool_kit(mp_context: Optional[str]):
+    """``ProcessPoolExecutor``, ``as_completed`` and the start-method
+    context, imported on first use so that a serial run never loads the
+    multiprocessing machinery."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    ctx = multiprocessing.get_context(mp_context) if mp_context else None
+    return ProcessPoolExecutor, as_completed, ctx
+
+
 class ParallelExecutor(Executor):
     """Process-pool execution with chunked dispatch.
 
@@ -235,9 +244,9 @@ class ParallelExecutor(Executor):
         if self.workers == 1 or len(specs) == 1:
             return SerialExecutor().run(specs, progress=progress, engine=engine)
 
+        ProcessPoolExecutor, as_completed, ctx = _pool_kit(self.mp_context)
         chunksize = self.chunksize or max(1, math.ceil(len(specs) / (4 * self.workers)))
         chunks = [specs[i : i + chunksize] for i in range(0, len(specs), chunksize)]
-        ctx = multiprocessing.get_context(self.mp_context) if self.mp_context else None
 
         results: List[Optional[RunOutcome]] = [None] * len(specs)
         done = 0
@@ -306,7 +315,7 @@ class ParallelExecutor(Executor):
         total = sum(len(b.seeds) for b in batches)
         done = 0
         results: List[Optional[List[RunOutcome]]] = [None] * len(batches)
-        ctx = multiprocessing.get_context(self.mp_context) if self.mp_context else None
+        ProcessPoolExecutor, as_completed, ctx = _pool_kit(self.mp_context)
         retry: List[int] = []
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(batches)), mp_context=ctx
@@ -344,6 +353,8 @@ class ParallelExecutor(Executor):
     def _run_isolated(spec: RunSpec, ctx, engine: Optional[str] = None) -> RunOutcome:
         """Run one spec in a throwaway single-worker pool, so a spec that
         crashes its worker yields an errored outcome for itself only."""
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             try:
                 return pool.submit(execute_spec, spec, engine).result()

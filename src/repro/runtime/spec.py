@@ -233,7 +233,7 @@ class RunSpec:
         return 0 if seed is None else seed
 
 
-@dataclass
+@dataclass(slots=True)
 class RunOutcome:
     """What came back from one spec: a record, or an isolated failure."""
 

@@ -16,6 +16,32 @@ on them and the tests pin them down):
   co-located with its occupants from round ``r+1`` onward.
 * A follow (one-round or persistent) mirrors the *resolved* move of the
   leader in the same round, so a follower never loses its leader.
+
+Declared walks
+--------------
+
+``Action.walk(offsets)`` hands the engine a whole universal-exploration
+walk instead of one move per yield.  Step ``s`` leaves through port
+``(e + offsets[s]) mod degree``, with ``e = 0`` (the virtual entry port of
+:mod:`repro.uxs.verify`) for step 0 and the robot's entry port, the one
+the previous step produced, afterwards; the walk makes one move per
+activation.  The engine moves the robot until one of two activations and
+the program then receives that activation's observation:
+
+* the first activation whose card tuple differs, by value, from the tuple
+  the program saw when it yielded the walk;
+* the activation after the last step.
+
+A program that decides on the cards alone therefore receives exactly the
+observations at which its per-round loop could decide differently; every
+skipped observation carried the tuple it had already judged.  Progress
+lives on the walk: the engine advances ``walk.steps``, the program yields
+the same walk again to continue it, and yielding a finished walk is a
+protocol violation.  ``steps`` is the one field of an action that changes
+after its factory returns, which is why every walk is a fresh object.
+Engines without native walks run programs through
+:func:`repro.sim.robot.expand_walks`, which turns each walk back into
+per-round moves under the same rule.
 """
 
 from __future__ import annotations
@@ -31,6 +57,7 @@ SLEEP = 2
 FOLLOW = 3
 FOLLOW_ONCE = 4
 TERMINATE = 5
+WALK = 6
 
 _KIND_NAMES = {
     STAY: "stay",
@@ -39,6 +66,7 @@ _KIND_NAMES = {
     FOLLOW: "follow",
     FOLLOW_ONCE: "follow_once",
     TERMINATE: "terminate",
+    WALK: "walk",
 }
 
 
@@ -46,10 +74,13 @@ class Action:
     """One robot decision for one round.  Use the factory classmethods.
 
     Actions are immutable values: nothing may change an action's fields
-    after a factory returns it.  Factories may therefore return shared
-    instances -- a plain ``move(p)`` (an exact ``int`` port, 0 <= p < 64,
-    no card, no note) and a plain ``stay()`` always return the same
-    object -- so programs must not rely on an action's identity.
+    after a factory returns it, with one exception -- ``steps``, the
+    number of steps of a walk taken so far, is the one field the engine
+    changes (see the module docstring).  Factories may therefore return
+    shared instances -- a plain ``move(p)`` (an exact ``int`` port,
+    0 <= p < 64, no card, no note) and a plain ``stay()`` always return
+    the same object -- so programs must not rely on an action's identity.
+    A walk is never shared.
     """
 
     __slots__ = (
@@ -62,6 +93,8 @@ class Action:
         "on_leader_terminate",
         "card",
         "note",
+        "offsets",
+        "steps",
     )
 
     def __init__(
@@ -74,6 +107,7 @@ class Action:
         on_leader_terminate: str = "terminate",
         card: Optional[Dict[str, Any]] = None,
         note: Optional[str] = None,
+        offsets: Optional[Tuple[int, ...]] = None,
     ):
         self.kind = kind
         # Precomputed dispatch token for the scheduler's hot loop: the kind
@@ -88,6 +122,8 @@ class Action:
         self.on_leader_terminate = on_leader_terminate
         self.card = card
         self.note = note
+        self.offsets = offsets
+        self.steps = 0
 
     # ------------------------------------------------------------------
     # Factories
@@ -167,6 +203,19 @@ class Action:
         """Stop forever.  The robot stays on its node as a passive occupant."""
         return cls(TERMINATE, card=card, note=note)
 
+    @classmethod
+    def walk(cls, offsets) -> "Action":
+        """Walk a universal exploration sequence, one step per activation.
+
+        Step ``s`` leaves through ``(e + offsets[s]) mod degree``, where
+        ``e`` is 0 for the first step and the robot's entry port after
+        that.  Control returns at the first activation whose cards differ
+        from those seen when the walk was yielded, or at the activation
+        after the last step; ``steps`` then counts the steps taken.  Yield
+        the same walk again to continue it.
+        """
+        return cls(WALK, offsets=tuple(offsets))
+
     # ------------------------------------------------------------------
     @property
     def kind_name(self) -> str:
@@ -181,6 +230,8 @@ class Action:
             parts.append(f"target={self.target}")
         if self.wake_round is not None:
             parts.append(f"wake={self.wake_round}")
+        if self.offsets is not None:
+            parts.append(f"steps={self.steps}/{len(self.offsets)}")
         return f"Action({', '.join(parts)})"
 
 

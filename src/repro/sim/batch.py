@@ -20,9 +20,8 @@ The batch layer adds two things on top:
   applies ``Scheduler.run``'s gates (terminated, gathered under
   ``stop_on_gather``, past ``max_rounds``) exactly as a scalar run would,
   and advances each replica by one :meth:`Scheduler._step_soa` call
-  bounded by :data:`ReplicaBatch.SLICE` rounds (one ``_step`` per turn on
-  a graph with a self-loop, the general regime).  The turn size is only
-  a scheduling knob: replicas are independent, so it cannot change any
+  bounded by :data:`ReplicaBatch.SLICE` rounds.  The turn size is only a
+  scheduling knob: replicas are independent, so it cannot change any
   result.
 * **R-wide bookkeeping** — per-replica rounds, moves, executed-round and
   error counters, filled when a replica retires and aggregated once.  The
@@ -337,10 +336,7 @@ class ReplicaBatch:
                     rnd = sched.round
                     if rnd > max_rounds:
                         raise sched._timeout_error()
-                    if sched._soa:
-                        sched._step_soa(min(rnd + slice_budget, timeout_round))
-                    else:
-                        sched._step()
+                    sched._step_soa(min(rnd + slice_budget, timeout_round))
                     nxt.append(j)
                 except Exception as exc:
                     # Isolated failure: the same exception the scalar path

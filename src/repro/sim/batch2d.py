@@ -125,7 +125,6 @@ class Replica2DBatch(ReplicaBatch):
                 prog is None
                 or sched is None
                 or sched.round != 0
-                or not sched._soa
                 or sched._alive != sched._nrob
                 or len(sched._active) != sched._nrob
                 or sched._wake_heap

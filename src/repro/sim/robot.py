@@ -12,6 +12,19 @@ generator before round 0).  Afterwards, every ``yield action`` receives the
 observation of the round in which the robot next acts — the following round
 for ordinary actions, the wake round for sleeps and persistent follows.
 
+A program may also yield a declared walk (``Action.walk(offsets)``, see
+:mod:`repro.sim.actions`): the engine then moves the robot without
+resuming the program, which receives the observation of the hand-back
+activation and continues the walk by yielding the same object again::
+
+    walk = Action.walk(offsets)
+    while walk.steps < len(offsets):
+        obs = yield walk                 # cards changed, or the walk ended
+
+``walk.steps`` is the one action field the engine writes.  An engine that
+does not run walks natively runs every program through
+:func:`expand_walks`, which turns each walk back into per-round moves.
+
 Programs interact with the world *only* through observations and actions;
 :class:`RobotContext` carries the static knowledge the model grants (the
 robot's label and ``n``) plus any explicitly granted extras (e.g. the
@@ -23,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Optional
 
-from repro.sim.actions import Action, Observation
+from repro.sim.actions import WALK, Action, Observation
+from repro.sim.errors import ProtocolViolation
 
-__all__ = ["RobotContext", "RobotSpec", "Program", "ProgramFactory"]
+__all__ = ["RobotContext", "RobotSpec", "Program", "ProgramFactory", "expand_walks"]
 
 Program = Generator[Optional[Action], Observation, None]
 ProgramFactory = Callable[["RobotContext"], Program]
@@ -64,6 +78,44 @@ class RobotSpec:
     start: int
     factory: ProgramFactory
     knowledge: Dict[str, Any] = field(default_factory=dict)
+
+
+def expand_walks(program: Program, label: int) -> Program:
+    """``program`` with every walk it yields expanded into per-round moves.
+
+    The expansion follows the hand-back rule of :mod:`repro.sim.actions`:
+    each activation takes one step and the program resumes at the first
+    activation whose cards differ from those it saw when it yielded the
+    walk, or at the activation after the last step, with ``walk.steps``
+    advanced.  Every other action passes through unchanged, and closing
+    the expander closes ``program``.  ``label`` prefixes the errors, as
+    the scheduler's own do.
+    """
+    send = program.send
+    try:
+        obs = yield next(program)
+        while True:
+            try:
+                action = send(obs)
+            except StopIteration:
+                return
+            if getattr(action, "kind", None) != WALK:
+                obs = yield action
+                continue
+            offsets = action.offsets
+            s = action.steps
+            if s >= len(offsets):
+                raise ProtocolViolation(f"robot {label}: walk already complete")
+            cards = obs.cards
+            while True:
+                e = obs.entry_port if s else 0
+                obs = yield Action.move((e + offsets[s]) % obs.degree)
+                s += 1
+                if s == len(offsets) or obs.cards != cards:
+                    break
+            action.steps = s
+    finally:
+        program.close()
 
 
 # Robot status constants used by the scheduler.

@@ -34,9 +34,10 @@ The engine is **struct-of-arrays**: per-robot hot state lives in parallel
 flat lists indexed by ``rid`` (robots sorted by label, so rid order ==
 label order everywhere) — ``_pos``, ``_entry``, ``_moves``, ``_ar`` (active
 rounds),
-``_own`` (the robot's single-occupant card tuple), ``_sends`` (pre-bound
-generator ``send``), and ``_obs`` (one reusable Observation per robot,
-mutated in place — see the reuse contract in :mod:`repro.sim.actions`).
+``_own`` (the robot's single-occupant card tuple), ``_sends`` (the
+pre-bound generator ``send``, or a walker's cursor while a declared walk
+runs), and ``_obs`` (one reusable Observation per robot, mutated in
+place — see the reuse contract in :mod:`repro.sim.actions`).
 Plain lists are deliberately chosen over ``array``/numpy: indexing an
 ``array('l')`` boxes a fresh int per read, and numpy cannot help a loop
 that must call a Python generator per element (see ``docs/PERF.md``).
@@ -45,12 +46,12 @@ The regime is fixed when a scheduler is built, and two regimes share
 those arrays:
 
 * the **SoA loop** (:meth:`_step_soa`) runs every run except traced runs,
-  activation-model runs, runs on a graph with a self-loop, and runs of a
-  class that sets ``_uses_soa = False`` (the seed scheduler and the
-  ``incremental`` pin).  One call runs due wake-ups, fast-forward jumps
-  and rounds in a single frame: ``run`` makes one call per run, ``_step``
-  one call per round (``_step_soa(self.round + 1)``), and the batch
-  engine one call per lockstep turn.  The frame binds the CSR and the
+  activation-model runs and runs of a class that sets ``_uses_soa =
+  False`` (the seed scheduler and the ``incremental`` pin).  One call runs
+  due wake-ups, fast-forward jumps and rounds in a single frame: ``run``
+  makes one call per run, ``_step`` one call per round
+  (``_step_soa(self.round + 1)``), and the batch engine one call per
+  lockstep turn.  The frame binds the CSR and the
   arrays once, keeps the round counter, the occupancy snapshot and the
   deferred counters in locals, reuses its scratch lists across rounds,
   and caches the all-gathered card tuple until the next cold action.  It
@@ -64,8 +65,8 @@ those arrays:
   cold helpers that reconstruct whatever the inline sweep skipped.  The
   sweep dispatches a card-less ``follow_once`` itself; after the sweep
   each such follower takes its leader's port, read off the reverse of the
-  leader's entry edge (exact without self-loops), unless the round's
-  follows chain or persistent followers exist.  While persistent
+  leader's entry edge (exact: port graphs have no self-loops), unless the
+  round's follows chain or persistent followers exist.  While persistent
   followers or ``wake_on_meet`` sleepers exist, the sweep records its
   movers from round start: persistent followers then *ride* their
   leader's move through a cached, label-sorted list of each leader's
@@ -73,10 +74,18 @@ those arrays:
   leader->followers index changes), and the round's arrivals are tested
   against a cached set of the meet-sleepers' nodes (dropped whenever the
   meet-sleeper count changes); only a hit scans the robots and flags every
-  meet-sleeper on a node that received an arrival to wake.
+  meet-sleeper on a node that received an arrival to wake.  A declared
+  walk (:meth:`Action.walk`) takes its first step where it is yielded and
+  then swaps the robot's ``_sends`` entry for a cursor (:class:`_Walker`)
+  that returns the next move while the cards match and hands back to the
+  program otherwise.  When every active robot is a walker, whole stretches
+  of rounds run in :meth:`_soa_walk_stretch` without an observation or a
+  send.
 * the **general path** (the pre-SoA incremental engine, preserved in
   :meth:`_step_general`) runs every other run, one ``_step`` per round,
-  with per-node occupant lists and card-tuple caches.
+  with per-node occupant lists and card-tuple caches.  It runs every
+  program through :func:`~repro.sim.robot.expand_walks`, so it sees a
+  declared walk as per-round moves.
 
 In the SoA regime, ``RobotState`` attributes are synchronized with the
 arrays only at run boundaries (``_sync_states``); in the general regime
@@ -109,10 +118,19 @@ from repro.sim.actions import (
     FOLLOW,
     FOLLOW_ONCE,
     TERMINATE,
+    WALK,
 )
 from repro.sim.errors import ProtocolViolation, SimulationDeadlock, SimulationTimeout
 from repro.sim.metrics import RunMetrics, card_bits
-from repro.sim.robot import ACTIVE, FOLLOWING, SLEEPING, TERMINATED, RobotSpec, RobotState
+from repro.sim.robot import (
+    ACTIVE,
+    FOLLOWING,
+    SLEEPING,
+    TERMINATED,
+    RobotSpec,
+    RobotState,
+    expand_walks,
+)
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["Scheduler"]
@@ -166,14 +184,13 @@ class Scheduler:
         self._csr = graph.csr
         # The regime is fixed for the whole run: the SoA loop, with the
         # arrays authoritative, unless the class pins the general path or
-        # the run is traced, has an activation model, or its graph has a
-        # self-loop.
-        self._soa = (
-            type(self)._uses_soa
-            and trace is None
-            and activation is None
-            and not self._csr.has_self_loop
-        )
+        # the run is traced or has an activation model.
+        self._soa = type(self)._uses_soa and trace is None and activation is None
+        if not self._soa:
+            # only the SoA loop runs declared walks natively
+            for r in self.robots:
+                r.gen = expand_walks(r.gen, r.label)
+                r.send = r.gen.send
         # set by run(): whether the SoA loop returns at the first gathering
         self._stop_on_gather = False
 
@@ -237,6 +254,9 @@ class Scheduler:
         # rids flagged woken_early (meet arrivals, leader-terminated wakes)
         # since the last wake processing
         self._woken: List[int] = []
+        # rid -> cursor of every robot whose declared walk the SoA loop is
+        # running; its _sends entry is the cursor's step
+        self._walkers: Dict[int, _Walker] = {}
 
         self._prime()
 
@@ -489,6 +509,7 @@ class Scheduler:
         heap = self._wake_heap
         woken = self._woken
         followers_of = self._followers_of
+        walkers = self._walkers
         by_label = self.by_label
         strict = self.strict
         metrics = self.metrics
@@ -533,6 +554,26 @@ class Scheduler:
                     if rnd >= stop_round:
                         return
                     continue
+
+                # --- only walkers act: run the stretch without the sweep
+                # (off under replay, which snapshots every round, and
+                # while the first gathering is still to be recorded)
+                if (
+                    walkers
+                    and len(walkers) == len(active)
+                    and replay is None
+                    and (first_gather is not None or occupied != 1)
+                ):
+                    m = self._soa_walk_stretch(rnd, stop_round, posset)
+                    if m:
+                        rnd += m
+                        pend += m
+                        executed += m
+                        posset = set(pos)
+                        if rnd >= stop_round:
+                            return
+                        if heap and heap[0][0] <= rnd:
+                            continue
 
                 # --- start-of-round co-location snapshot ----------------
                 # excess == 0: every node is singly occupied and every
@@ -583,7 +624,7 @@ class Scheduler:
                 # The sweep records them from round start while followers
                 # or meet-sleepers exist; otherwise a persistent follow or
                 # meet-sleep appearing mid-sweep reconstructs them from the
-                # pre-round positions (no self-loops in SoA mode, so
+                # pre-round positions (port graphs have no self-loops, so
                 # "position changed" <=> "moved", and the reverse of the
                 # entry edge gives the departure port).  One-round follows
                 # need no movers: each follower reads its leader's port the
@@ -813,7 +854,7 @@ class Scheduler:
         Called while the sweep is not tracking movers (so both lists are
         empty), when a follow/meet-sleep appears mid-sweep or a round's
         one-round follows need the full propagation.  With no self-loops
-        (a SoA-mode precondition), ``pos != prev_pos`` is exactly "moved",
+        (port graphs reject them), ``pos != prev_pos`` is exactly "moved",
         and the reverse of the entry edge -- the slot of the entry port at
         the new node -- leads back through the departure port.
         """
@@ -921,9 +962,141 @@ class Scheduler:
             once_leaders.append(self.by_label[action.target].rid)
         elif kind == TERMINATE:
             terminators.append(i)
+        elif kind == WALK:
+            # take the first step now and hand the robot's send slot to a
+            # cursor that takes the rest (see _Walker)
+            offsets = action.offsets
+            s = action.steps
+            if s >= len(offsets):
+                raise ProtocolViolation(f"robot {r.label}: walk already complete")
+            csr = self._csr
+            pos = self._pos
+            node = pos[i]
+            p = ((self._entry[i] if s else 0) + offsets[s]) % csr.degree[node]
+            j = csr.row_offsets[node] + p
+            pos[i] = csr.neighbor[j]
+            self._entry[i] = csr.entry_port[j]
+            self._moves[i] += 1
+            if track:
+                movers_i.append(i)
+                movers_p.append(p)
+            walker = _Walker(self, i, action, s + 1, self._obs[i].cards)
+            self._walkers[i] = walker
+            self._sends[i] = walker.step
         else:  # pragma: no cover - factory methods make this unreachable
             raise ProtocolViolation(f"robot {r.label}: unknown action kind {kind}")
         return track
+
+    def _soa_walk_stretch(self, rnd: int, end: int, posset: set) -> int:
+        """Run rounds from ``rnd`` in which every active robot is a walker.
+
+        Moves the walkers and their riders round by round without an
+        observation or a send, and commits positions, entry ports and
+        moves once; the caller advances the round and the deferred
+        counters by the returned count.  Stops before ``end``, before the
+        next wake round, when a walk runs out (its next activation hands
+        back), and before a step that would put a walker group on a node
+        holding any other robot or on another group's node: that round
+        goes through the sweep, which wakes meet-sleepers and hands back
+        on the changed cards.  Returns 0, leaving the round to the sweep,
+        unless every walker group (a walker and its riders) stands alone
+        on its node and sees the cards its walk was yielded with -- the
+        cards every round of the stretch would show it.
+        """
+        heap = self._wake_heap
+        if heap and heap[0][0] < end:
+            end = heap[0][0]
+        pos = self._pos
+        own = self._own
+        riders = self._riders
+        if riders is None:
+            riders = self._build_riders()
+        others = set(posset)
+        groups = []
+        for i, walker in self._walkers.items():
+            node = pos[i]
+            group = riders.get(i, ())
+            if pos.count(node) != len(group) + 1:
+                return 0
+            if group:
+                for f in group:
+                    if pos[f] != node:
+                        return 0
+                cards = tuple([own[q][0] for q in sorted((i, *group))])
+            else:
+                cards = own[i]
+            if cards != walker.cards:
+                return 0
+            others.discard(node)
+            groups.append((i, walker, group))
+
+        csr = self._csr
+        row = csr.row_offsets
+        nbr = csr.neighbor
+        ent = csr.entry_port
+        deg = csr.degree
+        entry = self._entry
+        if len(groups) == 1:
+            # a lone walker: the whole stretch in scalars
+            i, walker, group = groups[0]
+            offs = walker.offsets
+            s0 = s = walker.steps
+            stop = min(len(offs), s + end - rnd)
+            node = pos[i]
+            e = entry[i]
+            while s < stop:
+                j = row[node] + (e + offs[s]) % deg[node]
+                nxt = nbr[j]
+                if nxt in others:
+                    break
+                node = nxt
+                e = ent[j]
+                s += 1
+            m = s - s0
+            if m:
+                walker.steps = s
+                mvs = self._moves
+                for q in (i, *group):
+                    pos[q] = node
+                    entry[q] = e
+                    mvs[q] += m
+            return m
+
+        # several walker groups, stepping in lockstep
+        g = len(groups)
+        offs_l = [w.offsets for _, w, _ in groups]
+        base = [w.steps for _, w, _ in groups]
+        nodes = [pos[i] for i, _, _ in groups]
+        ents = [entry[i] for i, _, _ in groups]
+        new_nodes = nodes[:]
+        new_ents = ents[:]
+        stop = min(end - rnd, min(len(o) - b for o, b in zip(offs_l, base)))
+        m = 0
+        while m < stop:
+            for q in range(g):
+                node = nodes[q]
+                j = row[node] + (ents[q] + offs_l[q][base[q] + m]) % deg[node]
+                nxt = nbr[j]
+                if nxt in others:
+                    break
+                new_nodes[q] = nxt
+                new_ents[q] = ent[j]
+            else:
+                if len(set(new_nodes)) == g:
+                    nodes, new_nodes = new_nodes, nodes
+                    ents, new_ents = new_ents, ents
+                    m += 1
+                    continue
+            break
+        if m:
+            mvs = self._moves
+            for (i, walker, group), node, e in zip(groups, nodes, ents):
+                walker.steps += m
+                for q in (i, *group):
+                    pos[q] = node
+                    entry[q] = e
+                    mvs[q] += m
+        return m
 
     def _soa_check_follow_target(
         self, rid: int, target: Optional[int], prev_pos: List[int]
@@ -1428,6 +1601,43 @@ class Scheduler:
             else:  # "wake"
                 f.woken_early = True
                 self._woken.append(f.rid)
+
+
+class _Walker:
+    """The SoA loop's cursor over one declared walk.
+
+    Its bound :meth:`step` stands in the robot's ``_sends`` slot from the
+    walk's first step until the hand-back, so the sweep activates a walker
+    exactly as it activates any robot and no other action pays for walks.
+    """
+
+    __slots__ = ("walk", "offsets", "steps", "cards", "rid", "send", "sends", "walkers")
+
+    def __init__(self, sched: Scheduler, rid: int, walk: Action, steps: int, cards):
+        self.walk = walk
+        self.offsets = walk.offsets
+        self.steps = steps  # steps taken; walk.steps is written at hand-back
+        self.cards = cards  # the card tuple the program saw when it yielded
+        self.rid = rid
+        self.send = sched.robots[rid].send  # the program's own
+        self.sends = sched._sends
+        self.walkers = sched._walkers
+
+    def step(self, ob: Observation) -> Action:
+        """The next step's move while the cards match and steps remain;
+        otherwise hand back: record the steps, restore the program's send
+        and forward the observation to it."""
+        s = self.steps
+        offsets = self.offsets
+        if s < len(offsets) and ob.cards == self.cards:
+            self.steps = s + 1
+            return Action.move((ob.entry_port + offsets[s]) % ob.degree)
+        self.walk.steps = s
+        rid = self.rid
+        send = self.send
+        self.sends[rid] = send
+        del self.walkers[rid]
+        return send(ob)
 
 
 def _moving_label(entry: Tuple[RobotState, int]) -> int:

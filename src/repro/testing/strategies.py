@@ -10,7 +10,8 @@ draw from one vocabulary:
   library's generator families and port numberings;
 * :data:`step_strategy` / :data:`script_strategy` / :func:`scripts` —
   scripted robot programs exercising every scheduler cold path (moves,
-  stays, sleeps, wake-on-meet, whiteboard cards, termination);
+  stays, sleeps, wake-on-meet, whiteboard cards, declared walks,
+  termination);
 * :func:`follower_scripts` — whole fleets of such scripts that also follow
   each other (persistent and one-round follows, chains, cycles);
 * :func:`scripted_factory` — compile a drawn script into a robot factory;
@@ -75,13 +76,16 @@ def random_port_graph(draw, min_n=4, max_n=12):
 # ---------------------------------------------------------------------------
 #: One scripted robot step.  Ports/wake delays are drawn wide and reduced
 #: modulo the local degree / rebased on the observed round at execution
-#: time, so every draw is valid on every graph.
+#: time, so every draw is valid on every graph.  A ``walk`` step declares
+#: a walk of UXS offsets (:meth:`Action.walk`) and yields it again after
+#: every hand-back until it completes.
 step_strategy = st.one_of(
     st.tuples(st.just("move"), st.integers(0, 7)),
     st.tuples(st.just("stay")),
     st.tuples(st.just("sleep"), st.integers(0, 9)),
     st.tuples(st.just("sleep_meet"), st.integers(0, 9)),
     st.tuples(st.just("card"), st.integers(0, 3)),
+    st.tuples(st.just("walk"), st.lists(st.integers(0, 7), min_size=1, max_size=12).map(tuple)),
 )
 
 
@@ -150,6 +154,10 @@ def scripted_factory(script):
                     )
                 elif kind == "follow_once":
                     obs = yield Action.follow_once(step[1])
+                elif kind == "walk":
+                    walk = Action.walk(step[1])
+                    while walk.steps < len(step[1]):
+                        obs = yield walk
             yield Action.terminate()
 
         return program()

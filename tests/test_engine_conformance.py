@@ -366,6 +366,23 @@ def _sleep_past_budget(ctx):
     yield Action.terminate()
 
 
+def _walk_done(ctx):
+    obs = yield
+    walk = Action.walk((1, 0, 1))
+    while walk.steps < 3:
+        obs = yield walk
+    obs = yield walk  # finished: a protocol violation
+    yield Action.terminate()
+
+
+def _walk_past_budget(ctx):
+    obs = yield
+    walk = Action.walk((1,) * 200)
+    while walk.steps < 200:
+        obs = yield walk
+    yield Action.terminate()
+
+
 def _error_case(kind):
     """(graph, fresh fleet, run kwargs) provoking one failure mode."""
     if kind == "timeout":
@@ -380,6 +397,11 @@ def _error_case(kind):
         return gg.path(3), [RobotSpec(label=1, start=0, factory=_sleep_forever)], {}
     if kind == "bad_port":
         return gg.path(3), [RobotSpec(label=1, start=0, factory=_bad_port)], {}
+    if kind == "walk_done":
+        return gg.ring(5), [RobotSpec(label=1, start=0, factory=_walk_done)], {}
+    if kind == "walk_timeout":
+        fleet = [RobotSpec(label=1, start=0, factory=_walk_past_budget)]
+        return gg.ring(5), fleet, {"max_rounds": 50}
     raise AssertionError(kind)
 
 
@@ -395,12 +417,26 @@ def _failure_signature(engine, kind):
 _ORACLE_FAILURES = {}
 
 
-@pytest.mark.parametrize("kind", ["timeout", "timeout_jump", "deadlock", "bad_port"])
+@pytest.mark.parametrize(
+    "kind",
+    ["timeout", "timeout_jump", "deadlock", "bad_port", "walk_done", "walk_timeout"],
+)
 @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
 def test_failure_conformance(engine, kind):
     if kind not in _ORACLE_FAILURES:
         _ORACLE_FAILURES[kind] = _failure_signature(ORACLE, kind)
     assert _failure_signature(engine, kind) == _ORACLE_FAILURES[kind]
+
+
+def test_walk_failure_oracle_messages():
+    """The oracle side of the walk kinds: the expander names the robot,
+    and a walk stops at the budget like any per-round program."""
+    assert _failure_signature(ORACLE, "walk_done") == (
+        "ProtocolViolation", "robot 1: walk already complete"
+    )
+    assert _failure_signature(ORACLE, "walk_timeout") == (
+        "SimulationTimeout", "simulation exceeded 51 rounds: 1:active"
+    )
 
 
 def test_timeout_jump_oracle_reports_the_sleeper():
