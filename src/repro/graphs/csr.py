@@ -23,8 +23,8 @@ pure-Python loops this kernel feeds (see ``docs/PERF.md``).
 The compiled form is immutable by convention (never mutate the lists) and is
 built lazily, once, by :attr:`PortGraph.csr`.  All flat-array graph
 algorithms used by the traversal layer live here so every caller — the
-scheduler, BFS utilities, generators' connectivity checks — shares one
-kernel.
+scheduler, BFS utilities, generators' connectivity checks, UXS plan search
+and certification (:mod:`repro.uxs.verify`) — shares one kernel.
 """
 
 from __future__ import annotations

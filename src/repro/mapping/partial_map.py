@@ -18,7 +18,7 @@ The structure maintains:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.graphs.port_graph import Edge, PortGraph
 
@@ -90,45 +90,30 @@ class RobotMap:
         """
         if source == target:
             return []
-        # Flat-array BFS (level-synchronized, same visit order as a FIFO
-        # queue): the map changes between calls, so there is no cached CSR
-        # to reuse, but scratch arrays indexed by map-node id still beat
-        # dict/set bookkeeping on every frontier resolution.
+        # BFS over a list that grows as it is read: a FIFO queue, so nodes
+        # are discovered in port order level by level.  The map changes
+        # between calls, so there is no cached CSR to reuse; a flat
+        # predecessor list indexed by map-node id stands in for dicts.
         adj = self.adj
-        nn = len(adj)
-        prev_node = [-1] * nn
-        prev_port = [0] * nn
-        seen = bytearray(nn)
-        seen[source] = 1
-        frontier = [source]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for v in frontier:
-                for p, entry in enumerate(adj[v]):
-                    if entry is None:
-                        continue
-                    u = entry[0]
-                    if not seen[u]:
-                        seen[u] = 1
-                        prev_node[u] = v
-                        prev_port[u] = p
-                        if u == target:
-                            found = True
-                            break
-                        nxt.append(u)
-                if found:
-                    break
-            frontier = nxt
-        if not found:
-            raise ValueError(f"map node {target} unreachable from {source}")
-        ports: List[int] = []
-        v = target
-        while v != source:
-            ports.append(prev_port[v])
-            v = prev_node[v]
-        ports.reverse()
-        return ports
+        pred: List[Optional[Tuple[int, int]]] = [None] * len(adj)
+        pred[source] = (source, -1)
+        order = [source]
+        for v in order:
+            for p, entry in enumerate(adj[v]):
+                if entry is None:
+                    continue
+                u = entry[0]
+                if pred[u] is None:
+                    pred[u] = (v, p)
+                    if u == target:
+                        ports: List[int] = []
+                        while u != source:
+                            u, p = pred[u]
+                            ports.append(p)
+                        ports.reverse()
+                        return ports
+                    order.append(u)
+        raise ValueError(f"map node {target} unreachable from {source}")
 
     def euler_tour(self, root: int) -> Tuple[List[int], List[int]]:
         """Closed spanning-tree tour over resolved edges from ``root``.
@@ -138,47 +123,51 @@ class RobotMap:
         is the visited map-node sequence (length ``2(n'-1)+1``, starting and
         ending at ``root``).
         """
-        # BFS spanning tree over resolved edges (flat seen-array, same
-        # level-synchronized discovery order as a FIFO queue).
+        # BFS spanning tree (the growing-list FIFO of :meth:`route`).  The
+        # children of ``v`` are the nodes its scan appends, so they sit in
+        # ``order[first[v]:end[v]]`` in port order; each child keeps the
+        # port its parent leaves by (``down``) and the one back (``up``).
         adj = self.adj
-        children: Dict[int, List[Tuple[int, int, int]]] = {root: []}
-        seen = bytearray(len(adj))
-        seen[root] = 1
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                kids = children[v]
-                for p, entry in enumerate(adj[v]):
-                    if entry is None:
-                        continue
-                    u, back = entry
-                    if not seen[u]:
-                        seen[u] = 1
-                        children[u] = []
-                        kids.append((u, p, back))
-                        nxt.append(u)
-            frontier = nxt
+        nn = len(adj)
+        down = [0] * nn
+        up = [0] * nn
+        first = [0] * nn
+        end = [0] * nn
+        seen = [False] * nn
+        seen[root] = True
+        order = [root]
+        for v in order:
+            first[v] = len(order)
+            for p, entry in enumerate(adj[v]):
+                if entry is None:
+                    continue
+                u = entry[0]
+                if not seen[u]:
+                    seen[u] = True
+                    down[u] = p
+                    up[u] = entry[1]
+                    order.append(u)
+            end[v] = len(order)
 
+        # Depth-first walk of the tree: down each child in turn (``first``
+        # is the cursor), back up when a node's children are done.
         ports: List[int] = []
         nodes: List[int] = [root]
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        back_stack: List[int] = []
+        stack = [root]
         while stack:
-            v, idx = stack.pop()
-            kids = children[v]
-            if idx < len(kids):
-                child, p_out, p_back = kids[idx]
-                stack.append((v, idx + 1))
-                ports.append(p_out)
-                nodes.append(child)
-                back_stack.append(p_back)
-                stack.append((child, 0))
+            v = stack[-1]
+            i = first[v]
+            if i < end[v]:
+                first[v] = i + 1
+                u = order[i]
+                ports.append(down[u])
+                nodes.append(u)
+                stack.append(u)
             else:
+                stack.pop()
                 if stack:
-                    parent = stack[-1][0]
-                    ports.append(back_stack.pop())
-                    nodes.append(parent)
+                    ports.append(up[v])
+                    nodes.append(stack[-1])
         return ports, nodes
 
     # ------------------------------------------------------------------

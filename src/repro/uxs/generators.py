@@ -40,14 +40,7 @@ __all__ = ["splitmix_offsets", "certification_battery", "practical_plan", "exhau
 #: cover-time regime (Θ(n^3) on the lollipop) for the sizes this repo runs.
 _LENGTH_CAP_FACTOR = 512
 
-
-def _splitmix64(state: int) -> Tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    z = z ^ (z >> 31)
-    return state, z
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
 
 def splitmix_offsets(n: int, length: int, stream: int = 0) -> Tuple[int, ...]:
@@ -56,13 +49,26 @@ def splitmix_offsets(n: int, length: int, stream: int = 0) -> Tuple[int, ...]:
     ``stream`` selects an alternative sequence for the same ``n`` (used by
     certification escalation); all robots must agree on it, so the library
     pins ``stream = 0`` everywhere outside tests.
+
+    Symbol ``k`` (1-based) is splitmix64's output for the state
+    ``s0 + k·γ mod 2^64``: the generator is counter-based, so the whole
+    stream is mixed at once over one ``uint64`` array, whose arithmetic
+    wraps mod 2^64 like the scalar recurrence it replaces.
     """
-    out: List[int] = []
-    state = (0xA076_1D64_78BD_642F ^ (n * 0x9E37_79B9)) ^ (stream * 0xC2B2_AE35)
-    for _ in range(length):
-        state, z = _splitmix64(state)
-        out.append(z % max(n, 2))
-    return tuple(out)
+    import numpy as np  # at the first plan, not with the module; the runtime already has it
+
+    s0 = ((0xA076_1D64_78BD_642F ^ (n * 0x9E37_79B9)) ^ (stream * 0xC2B2_AE35)) & _MASK64
+    z = np.arange(1, length + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z *= np.uint64(0x9E37_79B9_7F4A_7C15)
+        z += np.uint64(s0)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58_476D_1CE4_E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D0_49BB_1331_11EB)
+        z ^= z >> np.uint64(31)
+        z %= np.uint64(max(n, 2))
+    return tuple(z.tolist())
 
 
 def certification_battery(n: int) -> List[PortGraph]:

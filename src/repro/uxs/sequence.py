@@ -3,9 +3,19 @@
 The walk rule is the standard one for exploration sequences: a robot that
 entered its current node through port ``e`` (``e = 0`` before the first
 move) and reads symbol ``σ`` leaves through port ``(e + σ) mod δ``.  The
-same rule is implemented twice — once here for simulator-side verification
-walks, and once inside robot programs (which can only observe degree and
-entry port); tests cross-check the two.
+rule lives in three places:
+
+* the engine, which runs declared walks (:meth:`repro.sim.actions.Action.walk`)
+  in the scheduler's ``_Walker`` cursor and ``_soa_walk_stretch`` loop, and
+  through :func:`repro.sim.robot.expand_walks` on the general path;
+* robot programs, which see only the degree and the entry port
+  (``uxs_explore`` in :mod:`repro.core.uxs_gathering`);
+* the harness walks here and in :mod:`repro.uxs.verify`, which step the
+  graph's CSR arrays (:mod:`repro.graphs.csr`) as the engine does.
+
+``tests/test_walks.py`` checks the engine's walks against the programs'
+per-round moves, and ``tests/test_uxs.py`` checks these walks against the
+``graph.traverse`` walk they replaced.
 """
 
 from __future__ import annotations
@@ -62,13 +72,17 @@ def exploration_walk(
     ``start``).  Used by the verifier and by tests that cross-check robot
     behaviour.
     """
+    csr = graph.csr
+    row = csr.row_offsets
+    nbr = csr.neighbor
+    ent = csr.entry_port
+    deg = csr.degree
     v = start
     e = entry_port
     out = [v]
-    traverse = graph.traverse
-    degree = graph.degree
     for sym in offsets:
-        p = (e + sym) % degree(v)
-        v, e = traverse(v, p)
+        j = row[v] + (e + sym) % deg[v]
+        v = nbr[j]
+        e = ent[j]
         out.append(v)
     return out

@@ -35,25 +35,33 @@ def cover_step(
 ) -> Optional[int]:
     """The 1-based step index at which the walk has visited every node.
 
-    Returns ``None`` if the sequence ends before full coverage.  Walks
-    incrementally and stops as soon as coverage is achieved, so certifying
-    an easy graph against a long sequence is cheap.
+    Returns ``None`` if the sequence ends before full coverage, and 0 on a
+    single node.  Walks incrementally and stops as soon as coverage is
+    achieved, so certifying an easy graph against a long sequence is cheap.
+    Steps over the graph's CSR arrays (the engine's kernel, see
+    :mod:`repro.graphs.csr`): slot ``row[v] + (e + σ) mod deg[v]`` holds the
+    next node and the port it is entered by.
     """
-    n = graph.n
-    seen = bytearray(n)
-    seen[start] = 1
-    remaining = n - 1
+    csr = graph.csr
+    # Flags in a list, not a bytearray: reading a list is about a quarter
+    # faster in this loop (see repro.graphs.csr on plain lists).
+    seen = [False] * csr.n
+    seen[start] = True
+    remaining = csr.n - 1
     if remaining == 0:
         return 0
+    row = csr.row_offsets
+    nbr = csr.neighbor
+    ent = csr.entry_port
+    deg = csr.degree
     v = start
     e = entry_port
-    traverse = graph.traverse
-    degree = graph.degree
     for t, sym in enumerate(offsets, start=1):
-        p = (e + sym) % degree(v)
-        v, e = traverse(v, p)
+        j = row[v] + (e + sym) % deg[v]
+        v = nbr[j]
+        e = ent[j]
         if not seen[v]:
-            seen[v] = 1
+            seen[v] = True
             remaining -= 1
             if remaining == 0:
                 return t

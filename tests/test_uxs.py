@@ -1,5 +1,7 @@
 """Tests for universal exploration sequences (construction + verification)."""
 
+import hashlib
+
 import pytest
 
 from repro.graphs import generators as gg
@@ -173,3 +175,137 @@ class TestUxsPlanType:
 
     def test_t_property(self):
         assert UxsPlan(3, (1, 2)).T == 2
+
+
+# ----------------------------------------------------------------------
+# Plan identity and the walk kernel.  Every robot derives its plan from n,
+# and a changed symbol moves every UXS record on every engine alike, so
+# the plans are pinned outright.  The scalar splitmix64 recurrence and the
+# ``graph.traverse`` walk that the vectorized stream and the CSR walks
+# replaced are kept here as oracles.
+# ----------------------------------------------------------------------
+
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _splitmix_scalar(n, length, stream=0):
+    """The stream one state at a time: ``state += γ``, then mix."""
+    out = []
+    state = (0xA076_1D64_78BD_642F ^ (n * 0x9E37_79B9)) ^ (stream * 0xC2B2_AE35)
+    for _ in range(length):
+        state = (state + 0x9E37_79B9_7F4A_7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58_476D_1CE4_E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D0_49BB_1331_11EB) & _MASK64
+        z = z ^ (z >> 31)
+        out.append(z % max(n, 2))
+    return tuple(out)
+
+
+def _traverse_walk(graph, offsets, start, entry_port=0):
+    """The walk through ``graph.traverse``/``graph.degree``: visited nodes."""
+    v, e = start, entry_port
+    out = [v]
+    for sym in offsets:
+        v, e = graph.traverse(v, (e + sym) % graph.degree(v))
+        out.append(v)
+    return out
+
+
+def _traverse_cover_step(graph, offsets, start, entry_port=0):
+    """1-based cover step of the ``graph.traverse`` walk, ``None`` if the
+    sequence ends first, 0 on a single node."""
+    seen = bytearray(graph.n)
+    seen[start] = 1
+    remaining = graph.n - 1
+    if remaining == 0:
+        return 0
+    v, e = start, entry_port
+    for t, sym in enumerate(offsets, start=1):
+        v, e = graph.traverse(v, (e + sym) % graph.degree(v))
+        if not seen[v]:
+            seen[v] = 1
+            remaining -= 1
+            if remaining == 0:
+                return t
+    return None
+
+
+def _digest(offsets):
+    return hashlib.sha256(",".join(map(str, offsets)).encode()).hexdigest()
+
+
+#: ``(T, sha256 of the comma-joined symbols)`` of ``practical_plan(n)``.
+PRACTICAL_PLANS = {
+    4: (42, "8a761ac016493122a4d317735b2c84de319b6c791c1a21238a0632f877579f89"),
+    8: (428, "e15cca7df79f5eac4ee3247c80b4ba5a8fd9f83720877ced2b9e106d4a52dbfe"),
+    12: (2280, "abaf4be0946c81331e05e2f6d7b135c689dabc6f79b8fcd8b7482775cdbd36d6"),
+    16: (3170, "e1c36f07b39addbc1e866a024a5be0571c616333f4ebbfc829bb010473ee7cdb"),
+    20: (5560, "28c74e07789094ddfc318cf570dbd633b7968e5f1028fed2b443fbfba1d4f7e6"),
+    24: (14696, "acf2bc5f3ec1bd212c64cc8ffa552b85e1f82855289719169224fb039c01433f"),
+    28: (31360, "fc1ea8cb495fdc29419ee9f7cad80ca629bb8a490e939172457100107484b382"),
+    32: (40298, "9ab19e790862e2997751b44b3a2442204b8e3ec9dae82723dff19d3bd78e2712"),
+}
+
+#: The same for ``exhaustive_plan(n)``.
+EXHAUSTIVE_PLANS = {
+    2: (1, "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    3: (3, "f3176ea4064dc47ccab85eb06a79460c0a07325bfdc3da7863dbd974031ee89b"),
+    4: (27, "14f1d6c5f4b1b482478a1a9e232720b0a4ffa874d2d9422d022aa16886462ef0"),
+}
+
+
+class TestPlanIdentity:
+    @pytest.mark.parametrize("n", sorted(PRACTICAL_PLANS))
+    def test_practical_plan_pinned(self, n):
+        plan = practical_plan(n)
+        assert (plan.T, _digest(plan.offsets)) == PRACTICAL_PLANS[n]
+
+    @pytest.mark.parametrize("n", sorted(EXHAUSTIVE_PLANS))
+    def test_exhaustive_plan_pinned(self, n):
+        plan = exhaustive_plan(n)
+        assert (plan.T, _digest(plan.offsets)) == EXHAUSTIVE_PLANS[n]
+
+    @pytest.mark.parametrize("stream", [0, 1, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 24, 257])
+    def test_stream_matches_scalar_recurrence(self, n, stream):
+        oracle = _splitmix_scalar(n, 100_000, stream)
+        for length in (0, 1, 1000, 100_000):
+            got = splitmix_offsets(n, length, stream=stream)
+            assert type(got) is tuple and all(type(s) is int for s in got[:5])
+            assert got == oracle[:length]
+
+    def test_stream_masks_the_seed(self):
+        # A negative stream makes a negative seed; the recurrence reduces
+        # it mod 2^64 at its first addition.
+        assert splitmix_offsets(9, 300, stream=-5) == _splitmix_scalar(9, 300, -5)
+
+
+class TestWalkKernel:
+    @pytest.mark.parametrize("n", range(5, 25))
+    def test_cover_step_matches_traverse_walk(self, n):
+        """Every battery graph, every start, entry ports 0 and deg-1, on the
+        certified plan and on a prefix too short to cover."""
+        offsets = practical_plan(n).offsets
+        short = offsets[: 3 * n]
+        uncovered = 0
+        for g in certification_battery(n):
+            for s in g.nodes():
+                for e in (0, g.degree(s) - 1):
+                    full = cover_step(g, offsets, s, e)
+                    assert full == _traverse_cover_step(g, offsets, s, e)
+                    assert full is not None or e  # certified from entry port 0
+                    step = cover_step(g, short, s, e)
+                    assert step == _traverse_cover_step(g, short, s, e)
+                    uncovered += step is None
+                    assert exploration_walk(g, short, s, e) == _traverse_walk(g, short, s, e)
+        assert uncovered  # the short prefix really exercises ``None``
+
+    def test_entry_port_is_carried(self):
+        g = gg.lollipop(10, numbering="random", seed=3)
+        offsets = practical_plan(10).offsets[:200]
+        for s in g.nodes():
+            walks = {tuple(exploration_walk(g, offsets, s, e)) for e in range(g.degree(s))}
+            for e in range(g.degree(s)):
+                assert exploration_walk(g, offsets, s, e) == _traverse_walk(g, offsets, s, e)
+            assert len(walks) == g.degree(s) or g.degree(s) == 1
