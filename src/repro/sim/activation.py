@@ -20,7 +20,11 @@ unobserved, eligible again next round.  Contract:
   (the scheduler raises on a model that violates this);
 * it must be deterministic: same construction + same call sequence, same
   selections.  Models may keep per-run state (and therefore must not be
-  shared between concurrent schedulers).
+  shared between concurrent schedulers);
+* it may read a robot's ``rid``, ``label`` and cold fields (``status``,
+  ``card``), not its hot fields: ``node``, ``entry_port``, ``moves`` and
+  ``active_rounds`` live in the scheduler's arrays until the run ends
+  (see :class:`~repro.sim.robot.RobotState`).
 
 ``activation=None`` on the scheduler keeps the native synchronous hot
 path with zero per-round overhead; :class:`SynchronousActivation` is the

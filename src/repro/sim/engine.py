@@ -2,8 +2,10 @@
 
 Four execution paths grew up in this repository — the seed
 :class:`~repro.sim.reference.ReferenceScheduler` (the executable spec), the
-incremental general path, the struct-of-arrays hot loop (both inside
-:class:`~repro.sim.scheduler.Scheduler`), and the lockstep replica engine
+per-round driver that the ``incremental`` backend pins and the
+struct-of-arrays hot loop (both inside
+:class:`~repro.sim.scheduler.Scheduler`, on the same arrays and action
+helpers), and the lockstep replica engine
 (:class:`~repro.sim.batch.ReplicaBatch`).  This module defines the contract
 they all satisfy, so call sites select a backend by *name* instead of
 hard-coding a class:

@@ -6,8 +6,8 @@ Every execution path in the repository registers here under a stable name:
 name          implementation                                             notes
 ============= ========================================================== =====
 reference     :class:`~repro.sim.reference.ReferenceScheduler`           the executable spec; the conformance oracle
-incremental   ``Scheduler`` pinned to the general path (PR-2 regime)     incremental occupancy/card caches, no SoA rounds
-soa           :class:`~repro.sim.scheduler.Scheduler` (default)          dual-regime: SoA loop + general fallback
+incremental   ``Scheduler`` pinned to the per-round driver               every action through the cold helpers, no SoA rounds
+soa           :class:`~repro.sim.scheduler.Scheduler` (default)          SoA loop; per-round driver when traced/activation
 batch-list    :class:`~repro.sim.batch.ReplicaBatch` (list backend)      lockstep replicas, pure-Python bookkeeping
 batch-numpy   :class:`~repro.sim.batch.ReplicaBatch` (numpy backend)     lockstep replicas, vectorized bookkeeping
 batch-numpy2d :class:`~repro.sim.batch2d.Replica2DBatch`                 replica-major 2D kernels + scalar fallback
@@ -104,13 +104,14 @@ def list_engines() -> List[str]:
 
 
 class IncrementalScheduler(Scheduler):
-    """``Scheduler`` pinned to the incremental general path (PR-2 regime).
+    """``Scheduler`` pinned to the per-round driver (``_step_general``).
 
-    ``_uses_soa = False`` makes the :class:`~repro.sim.robot.RobotState`
-    facades authoritative from construction and sends every round through
-    ``_step`` onto the general path, never into the SoA loop.  Semantics
-    are those of the full scheduler — this class only forecloses the fast
-    regime.
+    ``_uses_soa = False`` sends every round through ``_step`` onto the
+    per-round driver, never into the SoA loop, so every action kind goes
+    through the cold helpers the SoA loop keeps for rare actions.
+    Semantics are those of the full scheduler.  The name is older than
+    the driver; the backend stays registered because its conformance ids
+    check those helpers against the seed on untraced synchronous runs.
     """
 
     _uses_soa = False
@@ -149,8 +150,7 @@ class _SchedulerEngine(Engine):
         self._sched._step()
 
     def sync_state(self) -> None:
-        if self._sched._soa:
-            self._sched._sync_states()
+        self._sched._sync_states()
 
     def positions(self) -> Dict[int, int]:
         return self._sched.positions()
@@ -182,7 +182,8 @@ class ReferenceEngine(_SchedulerEngine):
 
 @register_engine
 class IncrementalEngine(_SchedulerEngine):
-    """The incremental general path (PR-2), pinned for every round."""
+    """The per-round driver, pinned for every round (see
+    :class:`IncrementalScheduler`)."""
 
     name = "incremental"
     capabilities = EngineCapabilities(
@@ -193,7 +194,8 @@ class IncrementalEngine(_SchedulerEngine):
 
 @register_engine
 class SoAEngine(_SchedulerEngine):
-    """The default dual-regime scheduler (SoA loop + general fallback)."""
+    """The default scheduler: the SoA loop, or the per-round driver for
+    traced and activation-model runs."""
 
     name = "soa"
     capabilities = EngineCapabilities(

@@ -35,7 +35,7 @@ from repro.sim.actions import (
 )
 from repro.sim.errors import ProtocolViolation, SimulationDeadlock
 from repro.sim.metrics import card_bits
-from repro.sim.robot import RobotState
+from repro.sim.robot import RobotState, expand_walks
 from repro.sim.scheduler import Scheduler
 
 __all__ = ["ReferenceScheduler"]
@@ -44,18 +44,35 @@ __all__ = ["ReferenceScheduler"]
 class ReferenceScheduler(Scheduler):
     """Seed scheduler: the original ``_step`` and cascade, unoptimized.
 
-    Shares construction, ``positions`` and ``run`` with :class:`Scheduler`,
-    but overrides the whole per-round machinery — ``_step``, ``_wake_due``,
-    ``_apply_card``, ``_terminate``, the cascade and the ``all_*`` queries —
-    with the seed versions, so benchmark comparisons measure the true
-    pre-fast-path cost (the fast path's incremental caches initialized by
-    ``__init__`` simply go unused here).
+    Shares construction and ``run`` with :class:`Scheduler`, but brings
+    the whole per-round machinery — ``_step``, ``_wake_due``,
+    ``_apply_card``, ``_check_follow_target``, ``_terminate``, the cascade
+    and the ``all_*`` queries — in the seed versions, so benchmark
+    comparisons measure the true pre-fast-path cost (the arrays and caches
+    ``__init__`` builds simply go unused here).  Its state lives on the
+    :class:`RobotState` attributes, so it also reads ``positions`` from
+    them, has nothing to synchronize, and runs every program through
+    :func:`~repro.sim.robot.expand_walks`, as the seed predates declared
+    walks.
     """
 
-    #: RobotState attributes stay authoritative for the whole run; the SoA
-    #: arrays the shared ``__init__`` builds are never written, so shared
-    #: queries (``positions``, ``run``'s final sync) must not trust them.
+    #: Every round goes through the seed ``_step`` below, never into the
+    #: SoA loop, whose arrays stay unwritten here.
     _uses_soa = False
+
+    def _prime(self) -> None:
+        """Wrap each program in the walk expander, then prime it."""
+        for r in self.robots:
+            r.gen = expand_walks(r.gen, r.label)
+            r.send = r.gen.send
+        super()._prime()
+
+    def positions(self) -> Dict[int, int]:
+        """label -> node, read off the authoritative attributes."""
+        return {r.label: r.node for r in self.robots}
+
+    def _sync_states(self) -> None:
+        """Nothing to copy: the attributes are the seed's only state."""
 
     # -- seed queries (linear scans; the fast path keeps counters) ------
     def all_terminated(self) -> bool:
@@ -113,6 +130,16 @@ class ReferenceScheduler(Scheduler):
             bits = card_bits(card)
             if bits > self.metrics.max_card_bits:
                 self.metrics.max_card_bits = bits
+
+    def _check_follow_target(self, r: RobotState, target: Optional[int]) -> None:
+        if target is None or target not in self.by_label:
+            raise ProtocolViolation(f"robot {r.label}: follow target {target} unknown")
+        if target == r.label:
+            raise ProtocolViolation(f"robot {r.label}: cannot follow itself")
+        if self.strict and self.by_label[target].node != r.node:
+            raise ProtocolViolation(
+                f"robot {r.label}: follow target {target} is not co-located"
+            )
 
     def _terminate(self, r: RobotState) -> None:
         if r.status == rb.TERMINATED:

@@ -22,8 +22,9 @@ activation and continues the walk by yielding the same object again::
         obs = yield walk                 # cards changed, or the walk ended
 
 ``walk.steps`` is the one action field the engine writes.  An engine that
-does not run walks natively runs every program through
-:func:`expand_walks`, which turns each walk back into per-round moves.
+does not run walks natively (the seed scheduler) runs every program
+through :func:`expand_walks`, which turns each walk back into per-round
+moves.
 
 Programs interact with the world *only* through observations and actions;
 :class:`RobotContext` carries the static knowledge the model grants (the
@@ -130,11 +131,11 @@ STATUS_NAMES = {ACTIVE: "active", SLEEPING: "sleeping", FOLLOWING: "following", 
 class RobotState:
     """Scheduler-side mutable state of one robot (not robot-visible).
 
-    Under the struct-of-arrays engine (:mod:`repro.sim.scheduler`) the hot
-    fields — ``node``, ``entry_port``, ``moves``, ``active_rounds`` — live
-    in the scheduler's flat arrays while SoA rounds run, and these
-    attributes are synchronized only at regime transitions and run
-    boundaries.  Mid-run introspection goes through
+    In :class:`~repro.sim.scheduler.Scheduler` (both its SoA loop and its
+    per-round driver) the hot fields — ``node``, ``entry_port``,
+    ``moves``, ``active_rounds`` — live in the scheduler's flat arrays,
+    and these attributes are synchronized only at run boundaries and on
+    an engine's ``sync_state``.  Mid-run introspection goes through
     ``Scheduler.positions()``; after ``run()`` returns (and throughout the
     seed :class:`~repro.sim.reference.ReferenceScheduler`) the attributes
     are authoritative.  Cold fields (``status``, ``wake_round``, ``card``,

@@ -81,15 +81,19 @@ those arrays:
   program otherwise.  When every active robot is a walker, whole stretches
   of rounds run in :meth:`_soa_walk_stretch` without an observation or a
   send.
-* the **general path** (the pre-SoA incremental engine, preserved in
-  :meth:`_step_general`) runs every other run, one ``_step`` per round,
-  with per-node occupant lists and card-tuple caches.  It runs every
-  program through :func:`~repro.sim.robot.expand_walks`, so it sees a
-  declared walk as per-round moves.
+* the **per-round driver** (:meth:`_step_general`) runs every other run,
+  one ``_step`` per round, over the same arrays: the activation model (if
+  any) picks who acts, every action goes through :meth:`_soa_cold`,
+  follows through :meth:`_soa_resolve_follows` and meet-sleeper wakes
+  through :meth:`_soa_wake_meet`, so each action rule has one copy.  It
+  runs declared walks through the same :class:`_Walker`; only the seed
+  scheduler expands them into per-round moves
+  (:func:`~repro.sim.robot.expand_walks`).
 
-In the SoA regime, ``RobotState`` attributes are synchronized with the
-arrays only at run boundaries (``_sync_states``); in the general regime
-they are authoritative from construction.
+In both regimes the arrays are authoritative, and ``RobotState``
+attributes are synchronized with them only at run boundaries
+(``_sync_states``); the seed scheduler keeps its own state on the
+attributes.
 Wake-ups are driven by a precomputed **wake schedule** — a min-heap of
 ``(wake_round, rid)`` pushed at sleep/follow time — so rounds where nobody
 is due skip the per-robot wake scan entirely, and fast-forward jumps read
@@ -129,7 +133,6 @@ from repro.sim.robot import (
     TERMINATED,
     RobotSpec,
     RobotState,
-    expand_walks,
 )
 from repro.sim.trace import TraceRecorder
 
@@ -140,11 +143,11 @@ class Scheduler:
     """Drives a set of robot programs on a port graph until all terminate."""
 
     #: Whether runs of this class may take the struct-of-arrays loop.
-    #: Subclasses that set it to ``False`` keep :class:`RobotState`
-    #: attributes authoritative and step every round through ``_step``: the
-    #: seed :class:`~repro.sim.reference.ReferenceScheduler`, and the
-    #: ``incremental`` engine backend (:mod:`repro.sim.engines`), which
-    #: pins the general path for differential testing.
+    #: Subclasses that set it to ``False`` step every round through
+    #: ``_step``: the seed :class:`~repro.sim.reference.ReferenceScheduler`,
+    #: which overrides ``_step`` with its own state, and the ``incremental``
+    #: engine backend (:mod:`repro.sim.engines`), which pins the per-round
+    #: driver for differential testing.
     _uses_soa = True
 
     def __init__(
@@ -182,34 +185,14 @@ class Scheduler:
         self.metrics = RunMetrics()
 
         self._csr = graph.csr
-        # The regime is fixed for the whole run: the SoA loop, with the
-        # arrays authoritative, unless the class pins the general path or
-        # the run is traced or has an activation model.
+        # The regime is fixed for the whole run: the SoA loop, unless the
+        # class pins the per-round driver or the run is traced or has an
+        # activation model.  Both regimes run on the arrays below.
         self._soa = type(self)._uses_soa and trace is None and activation is None
-        if not self._soa:
-            # only the SoA loop runs declared walks natively
-            for r in self.robots:
-                r.gen = expand_walks(r.gen, r.label)
-                r.send = r.gen.send
         # set by run(): whether the SoA loop returns at the first gathering
         self._stop_on_gather = False
 
-        # --- general-path state (invariants in docs/PERF.md) ----------
-        if self._soa:
-            # The SoA loop never reads the occupancy structures; skipping
-            # them saves O(n) list allocations per construction — replica
-            # campaigns construct many schedulers.
-            self._occ: List[List[RobotState]] = []
-            self._cards: List[Optional[Tuple[dict, ...]]] = []
-        else:
-            # occupants per node, kept sorted by label (self.robots is
-            # label-sorted, so the initial append order is already sorted)
-            occ: List[List[RobotState]] = [[] for _ in range(graph.n)]
-            for r in self.robots:
-                occ[r.node].append(r)
-            self._occ = occ
-            # cached card tuple per node; None = dirty (rebuilt on demand)
-            self._cards = [None] * graph.n
+        # --- follow and wake state (invariants in docs/PERF.md) -------
         # reverse index: leader label -> persistent followers (label-sorted
         # is not required; cascade/propagation order is label-sorted where
         # it matters)
@@ -277,13 +260,11 @@ class Scheduler:
     def positions(self) -> Dict[int, int]:
         """label -> node, for every robot (terminated included).
 
-        Derived straight from the position array in the SoA regime — one
-        C-level ``zip`` instead of a per-robot attribute walk (replay
-        snapshots call this every round).
+        Derived straight from the position array — one C-level ``zip``
+        instead of a per-robot attribute walk (replay snapshots call this
+        every round).
         """
-        if self._soa:
-            return dict(zip(self._labels, self._pos))
-        return {r.label: r.node for r in self.robots}
+        return dict(zip(self._labels, self._pos))
 
     def all_terminated(self) -> bool:
         """O(1) counter check: has every robot terminated?"""
@@ -360,8 +341,7 @@ class Scheduler:
         """Sync facades and fill the end-of-run metrics.  ``run`` calls this
         once its loop exits; the batched replica driver calls it when it
         retires a replica — one code path, identical metrics either way."""
-        if self._soa:
-            self._sync_states()
+        self._sync_states()
         self.metrics.rounds = self.round
         self.metrics.gathered_at_end = self.all_gathered()
         self.metrics.moves_by_robot = {r.label: r.moves for r in self.robots}
@@ -715,7 +695,7 @@ class Scheduler:
                 # take the leader's port, read off the reverse of its entry
                 # edge; a single mover carrying riders (the paper's Lemma-4
                 # groups) hands its port to its cached rider list.  Both
-                # apply in label order (the general path's order) and check
+                # apply in label order (the seed's order) and check
                 # each inherited port against the follower's own node (a
                 # non-co-located follower can inherit a port its node
                 # lacks).  Chained one-round follows, one-round follows next
@@ -833,18 +813,22 @@ class Scheduler:
             self._ar_pending += pend
             metrics.rounds_executed += executed
 
-    # -- SoA cold paths -------------------------------------------------
+    # -- cold paths: the SoA loop's rare actions, every per-round action --
     def _soa_publish(self, i: int, action: Action) -> None:
-        """Card publication from the hot loop: facade + own-tuple update.
+        """Card publication, in both regimes: facade + own-tuple update.
 
-        Deferred-invalidation reasoning from the general path still holds:
-        the publisher's own observation already happened, any co-located
-        robot's card tuple was snapshotted at round start, and next round
-        rebuilds from the new ``own`` tuple.
+        Updating ``own`` mid-sweep is safe: the publisher's own
+        observation already happened, any co-located robot's card tuple
+        was snapshotted at round start, and next round rebuilds from the
+        new ``own`` tuple.
         """
-        r = self.robots[i]
-        self._apply_card(r, action)
-        self._own[i] = (r.card,)
+        card = dict(action.card)
+        card["id"] = self._labels[i]  # the label is not forgeable
+        self.robots[i].card = card
+        self._own[i] = (card,)
+        bits = card_bits(card)
+        if bits > self.metrics.max_card_bits:
+            self.metrics.max_card_bits = bits
 
     def _soa_reconstruct_movers(
         self, prev_pos: List[int], movers_i: List[int], movers_p: List[int]
@@ -883,17 +867,23 @@ class Scheduler:
         prev_pos: List[int],
     ) -> bool:
         """Everything the hot loop's dispatch does not cover: card/note-
-        carrying actions, sleeps, persistent follows, terminates.
+        carrying actions, sleeps, persistent follows, terminates, the first
+        step of a walk -- and every action of the per-round driver.
 
         Returns the (possibly enabled) mover-tracking flag: persistent
         follows and meet-sleeps need this round's movers, so if tracking is off
         when one appears, the movers applied so far are reconstructed and
-        tracking stays on for the rest of the sweep.  (Notes are trace-only
-        and the SoA regime never runs traced, so they are ignored here.)
+        tracking stays on for the rest of the sweep.  A traced run (always
+        the per-round driver) records ``note``, ``sleep`` and ``follow``
+        events here; its ``move`` events are recorded after the round's
+        follows resolve.
         """
         r = self.robots[i]
         if action.card is not None:
             self._soa_publish(i, action)
+        trace = self.trace
+        if action.note and trace is not None:
+            trace.record(rnd, "note", r.label, action.note)
         kind = action.kind
         if kind == MOVE:
             p = action.port
@@ -941,6 +931,8 @@ class Scheduler:
                 if not track:
                     self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
                     track = True
+            if trace is not None:
+                trace.record(rnd, "sleep", r.label, action.wake_round)
         elif kind == FOLLOW:
             self._soa_check_follow_target(i, action.target, prev_pos)
             self._flush_ar()
@@ -956,6 +948,8 @@ class Scheduler:
             if not track:
                 self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
                 track = True
+            if trace is not None:
+                trace.record(rnd, "follow", r.label, action.target)
         elif kind == FOLLOW_ONCE:
             self._soa_check_follow_target(i, action.target, prev_pos)
             followers_once.append(i)
@@ -1148,13 +1142,15 @@ class Scheduler:
         followers_once: Sequence[int],
         once_leaders: Sequence[int],
     ) -> None:
-        """Follow resolution + application for SoA rounds.
+        """Follow resolution + application, in both regimes.
 
-        Same iterative propagation as the general path: chains ending in
-        this round's movers inherit the port; everything else stays.
-        Follower moves apply after the (already-applied) movers, in label
-        order, with the same validation and partial-application semantics
-        on invalid inherited ports.
+        Iterative forward propagation from this round's movers over the
+        leader->followers index: chains ending in a mover inherit its port;
+        chains ending anywhere else (stay, sleep, terminate, cycle) stay
+        put.  Follower moves apply after the (already-applied) movers, in
+        label order, and are appended to the mover lists as they apply; an
+        inherited port the follower's own node lacks raises the seed's
+        ``PortGraphError`` there, leaving the earlier followers applied.
         """
         labels = self._labels
         followers_of = self._followers_of
@@ -1212,7 +1208,7 @@ class Scheduler:
     def _soa_wake_meet(self, movers_i: List[int]) -> None:
         """Flag every ``wake_on_meet`` sleeper on a node that received an
         arrival this round (follower arrivals included) to wake next round
-        — the general path's rule, over the position array."""
+        — the seed's rule, over the position array."""
         pos = self._pos
         arrivals = {pos[j] for j in movers_i}
         woken = self._woken
@@ -1222,242 +1218,109 @@ class Scheduler:
                 woken.append(r.rid)
 
     # ------------------------------------------------------------------
-    # The general path (the pre-SoA incremental engine)
+    # The per-round driver
     # ------------------------------------------------------------------
     def _step_general(self, active_rids: List[int]) -> None:
-        robots = self.robots
-        active = [robots[i] for i in active_rids]
+        """Execute one round on the arrays, every action through the cold
+        helpers.
 
-        if self.activation is not None:
-            # Weaker-than-synchronous models act here; robots not selected
-            # stay awake and unobserved until a later round.  A model that
-            # selects nobody while robots are due would stall the run
-            # forever, so that contract violation is rejected loudly.
-            selected = self.activation.select(active, self.round)
+        Runs traced runs, activation-model runs and the ``incremental``
+        pin.  The sweep applies each move where it is yielded, as the SoA
+        loop does; observations read the start-of-round card snapshot, and
+        sleeps and follows leave ``_active`` after the sweep, which
+        iterates it.  A traced round records its ``move`` events once its
+        follows resolve, in the seed's order: this round's movers in label
+        order, then the followers in label order, including those applied
+        before an invalid inherited port raises.  The name is older than
+        this driver and stays because perfbench's tracer wraps
+        ``Scheduler._step_general`` to count the rounds run here.
+        """
+        rnd = self.round
+        robots = self.robots
+        activation = self.activation
+        if activation is None:
+            acting = active_rids
+        else:
+            # robots not selected stay awake and unobserved until a later
+            # round; a model that selects nobody while robots are due would
+            # stall the run forever, so that contract violation is rejected
+            selected = activation.select([robots[i] for i in active_rids], rnd)
             if not selected:
                 raise ProtocolViolation(
-                    f"activation model {self.activation.describe()!r} selected "
-                    f"no robot at round {self.round} with {len(active)} due"
+                    f"activation model {activation.describe()!r} selected "
+                    f"no robot at round {rnd} with {len(active_rids)} due"
                 )
-            active = selected
-
-        trace = self.trace
-        rnd = self.round
-        csr = self._csr
-        row = csr.row_offsets
-        nbr_arr = csr.neighbor
-        ent_arr = csr.entry_port
-        deg_arr = csr.degree
-        occ_lists = self._occ
-        cards_cache = self._cards
-
-        # --- observation & compute -----------------------------------
-        # Cards are "as of the start of the round".  A node's card tuple is
-        # built lazily at its *first* active occupant's observation — which
-        # runs before any program on that node has acted, and only
-        # co-located programs can publish to a node, so the lazy build
-        # always sees pre-round cards.  Card publications therefore defer
-        # their cache invalidation to after the compute loop.
-        # movers as two parallel lists: iterating them with zip() reuses
-        # the yielded pair tuple, where a list of (robot, port) tuples
-        # would allocate one per mover per round
-        movers_r: List[RobotState] = []
+            acting = [r.rid for r in selected]
+        pos = self._pos
+        own = self._own
+        # start-of-round cards: the label-ordered tuple of every shared
+        # node; a robot alone on its node reads its own 1-tuple, which only
+        # it replaces, after its observation
+        cards_at: Optional[Dict[int, Tuple[dict, ...]]] = None
+        if self._occupied != self._nrob:
+            cards_at = {}
+            for i, node in enumerate(pos):
+                cards = cards_at.get(node)
+                cards_at[node] = own[i] if cards is None else cards + own[i]
+        entry = self._entry
+        ar = self._ar
+        sends = self._sends
+        obs_l = self._obs
+        labels = self._labels
+        deg = self._csr.degree
+        prev_pos = pos[:]
+        movers_i: List[int] = []
         movers_p: List[int] = []
-        followers_once: List[RobotState] = []
-        terminators: List[RobotState] = []
-        published: List[int] = []  # nodes with a card published this round
-
-        for r in active:  # already in label order
-            node = r.node
-            cards = cards_cache[node]
-            if cards is None:
-                occ = occ_lists[node]
-                # occupant lists are label-sorted; no re-sort needed
-                cards = (occ[0].card,) if len(occ) == 1 else tuple(x.card for x in occ)
-                cards_cache[node] = cards
-            r.active_rounds += 1
+        terminators: List[int] = []
+        followers_once: List[int] = []
+        once_leaders: List[int] = []
+        deactivated: List[int] = []
+        for i in acting:  # label order
+            node = pos[i]
+            ob = obs_l[i]
+            ob.round = rnd
+            ob.degree = deg[node]
+            ob.entry_port = entry[i]
+            ob.cards = own[i] if cards_at is None else cards_at[node]
+            ar[i] += 1
             try:
-                action = r.send(Observation(rnd, deg_arr[node], r.entry_port, cards))
+                action = sends[i](ob)
             except StopIteration:
                 raise ProtocolViolation(
-                    f"robot {r.label}: program returned without terminating"
+                    f"robot {labels[i]}: program returned without terminating"
                 ) from None
             if action is None:
-                raise ProtocolViolation(f"robot {r.label}: yielded None instead of an Action")
-            if action.card is not None:
-                self._apply_card(r, action)
-                published.append(r.node)
-            if action.note and trace is not None:
-                trace.record(rnd, "note", r.label, action.note)
+                raise ProtocolViolation(
+                    f"robot {labels[i]}: yielded None instead of an Action"
+                )
+            self._soa_cold(
+                i, action, rnd, True,
+                movers_i, movers_p, terminators,
+                followers_once, once_leaders,
+                deactivated, prev_pos,
+            )
+        for i in deactivated:
+            self._active.remove(i)
 
-            kind = action.kind
-            if kind == MOVE:  # tested first: the hot kind by far
-                port = action.port
-                # reject None before the range check; `port or 0` would
-                # treat port 0 and None alike
-                if port is None or not 0 <= port < deg_arr[r.node]:
-                    raise ProtocolViolation(
-                        f"robot {r.label}: invalid port {port} on a degree-"
-                        f"{deg_arr[r.node]} node"
-                    )
-                movers_r.append(r)
-                movers_p.append(port)
-            elif kind == STAY:
-                pass
-            elif kind == SLEEP:
-                if action.wake_round is not None and action.wake_round <= rnd:
-                    raise ProtocolViolation(
-                        f"robot {r.label}: sleep until round {action.wake_round} "
-                        f"is not in the future (now {rnd})"
-                    )
-                if action.wake_round is None and not action.wake_on_meet:
-                    raise ProtocolViolation(
-                        f"robot {r.label}: unwakeable forever-sleep"
-                    )
-                r.status = SLEEPING
-                r.wake_round = action.wake_round
-                r.wake_on_meet = action.wake_on_meet
-                self._dormant += 1
-                self._active.remove(r.rid)
-                if action.wake_round is not None:
-                    heapq.heappush(self._wake_heap, (action.wake_round, r.rid))
-                if action.wake_on_meet:
-                    self._meet_sleepers += 1
-                    self._meet_nodes = None
-                if trace is not None:
-                    trace.record(rnd, "sleep", r.label, action.wake_round)
-            elif kind == FOLLOW:
-                self._check_follow_target(r, action.target)
-                r.status = FOLLOWING
-                r.leader_label = action.target
-                r.wake_round = action.wake_round
-                r.on_leader_terminate = action.on_leader_terminate
-                self._dormant += 1
-                self._active.remove(r.rid)
-                if action.wake_round is not None:
-                    heapq.heappush(self._wake_heap, (action.wake_round, r.rid))
-                self._add_follower(r, action.target)
-                if trace is not None:
-                    trace.record(rnd, "follow", r.label, action.target)
-            elif kind == FOLLOW_ONCE:
-                self._check_follow_target(r, action.target)
-                r.leader_label = action.target
-                followers_once.append(r)
-            elif kind == TERMINATE:
-                terminators.append(r)
-            else:  # pragma: no cover - factory methods make this unreachable
-                raise ProtocolViolation(f"robot {r.label}: unknown action kind {kind}")
+        trace = self.trace
+        try:
+            if followers_once or self._followers_of:
+                self._soa_resolve_follows(
+                    movers_i, movers_p, followers_once, once_leaders
+                )
+        finally:
+            if trace is not None:
+                for i, p in zip(movers_i, movers_p):
+                    trace.record(rnd, "move", labels[i], (p, entry[i]))
 
-        # deferred card-publication invalidation (see loop comment above)
-        for node in published:
-            cards_cache[node] = None
-
-        # --- resolve follows ------------------------------------------
-        # Iterative forward propagation from this round's movers over the
-        # reverse leader->followers index: a follower chain ending in a
-        # mover inherits its port; chains ending anywhere else (stay,
-        # sleep, terminate, cycle) stay put, so they never need visiting.
-        followers_of = self._followers_of
-        assigned: Optional[List[Tuple[RobotState, int]]] = None
-        if followers_of or followers_once:
-            once_by_leader: Dict[int, List[RobotState]] = {}
-            for f in followers_once:
-                once_by_leader.setdefault(f.leader_label, []).append(f)
-            assigned = []
-            stack = list(zip(movers_r, movers_p))
-            while stack:
-                r, port = stack.pop()
-                label = r.label
-                fs = followers_of.get(label)
-                if fs:
-                    for f in fs:
-                        assigned.append((f, port))
-                        stack.append((f, port))
-                fs = once_by_leader.get(label)
-                if fs:
-                    for f in fs:
-                        assigned.append((f, port))
-                        stack.append((f, port))
-            # one-round follows release leadership after resolution
-            for f in followers_once:
-                f.leader_label = None
-            # movers apply first (label order), then followers in label
-            # order — the application order of the reference scheduler
-            assigned.sort(key=_moving_label)
-
-        # --- apply moves simultaneously --------------------------------
-        # Arrival tracking only matters while a wake_on_meet sleeper
-        # exists; tracing is hoisted out of the loop entirely.
-        meet_watch = self._meet_sleepers > 0
-        arrivals = set()
-        occupied = self._occupied
-        if trace is None:
-            for r, port in zip(movers_r, movers_p):
-                old = r.node
-                i = row[old] + port
-                new = nbr_arr[i]
-                ol = occ_lists[old]
-                ol.remove(r)
-                cards_cache[old] = None
-                if not ol:
-                    occupied -= 1
-                nl = occ_lists[new]
-                if nl:
-                    lab = r.label
-                    j = len(nl)
-                    while j and nl[j - 1].label > lab:
-                        j -= 1
-                    nl.insert(j, r)
-                else:
-                    nl.append(r)
-                    occupied += 1
-                cards_cache[new] = None
-                r.node = new
-                r.entry_port = ent_arr[i]
-                r.moves += 1
-                if meet_watch:
-                    arrivals.add(new)
-            self._occupied = occupied
-        else:
-            # traced path: _apply_move maintains self._occupied directly
-            for r, port in zip(movers_r, movers_p):
-                entry = self._apply_move(r, port, arrivals, meet_watch)
-                trace.record(rnd, "move", r.label, (port, entry))
-        # follower moves (rare path, so per-event trace checks are fine):
-        # validated here, in application order, because a non-co-located
-        # follower (possible in non-strict mode) can inherit a port its own
-        # node lacks and the raw CSR indexing must never see it.  Raising
-        # mid-application leaves the same partially-applied state and error
-        # as the seed scheduler's graph.traverse.
-        if assigned:
-            for f, port in assigned:
-                if not 0 <= port < deg_arr[f.node]:
-                    raise PortGraphError(
-                        f"node {f.node} has degree {deg_arr[f.node]}; port {port} is invalid"
-                    )
-                entry = self._apply_move(f, port, arrivals, meet_watch)
-                if trace is not None:
-                    trace.record(rnd, "move", f.label, (port, entry))
-
-        # --- wake sleepers on arrivals ---------------------------------
-        if arrivals:
-            woken = self._woken
-            for r in self.robots:
-                if (
-                    r.status == SLEEPING
-                    and r.wake_on_meet
-                    and r.node in arrivals
-                ):
-                    r.woken_early = True
-                    woken.append(r.rid)
-
-        # --- terminations + cascade ------------------------------------
+        self._occupied = len(set(pos))
+        if movers_i and self._meet_sleepers:
+            self._soa_wake_meet(movers_i)
         if terminators:
-            for r in terminators:
-                self._terminate(r)
+            for i in terminators:
+                self._terminate(robots[i])
             self._cascade_terminations()
 
-        # --- bookkeeping ------------------------------------------------
         metrics = self.metrics
         if metrics.first_gather_round is None and self._occupied == 1:
             metrics.first_gather_round = rnd
@@ -1465,66 +1328,6 @@ class Scheduler:
             self.replay.snapshot(rnd, self.positions())
         metrics.rounds_executed += 1
         self.round = rnd + 1
-
-    # ------------------------------------------------------------------
-    def _apply_card(self, r: RobotState, action: Action) -> None:
-        # NB: does *not* invalidate the node's card cache — the hot loop
-        # defers that until every active robot has observed (cards are
-        # "as of the start of the round")
-        if action.card is not None:
-            card = dict(action.card)
-            card["id"] = r.label  # the label is not forgeable
-            r.card = card
-            bits = card_bits(card)
-            if bits > self.metrics.max_card_bits:
-                self.metrics.max_card_bits = bits
-
-    def _check_follow_target(self, r: RobotState, target: Optional[int]) -> None:
-        if target is None or target not in self.by_label:
-            raise ProtocolViolation(f"robot {r.label}: follow target {target} unknown")
-        if target == r.label:
-            raise ProtocolViolation(f"robot {r.label}: cannot follow itself")
-        if self.strict and self.by_label[target].node != r.node:
-            raise ProtocolViolation(
-                f"robot {r.label}: follow target {target} is not co-located"
-            )
-
-    def _apply_move(self, r: RobotState, port: int, arrivals: set, meet_watch: bool) -> int:
-        """Apply one resolved move with full occupancy/cache bookkeeping.
-
-        Cold-path helper (traced movers and follower moves); the untraced
-        mover loop in ``_step_general`` inlines the same logic over local
-        bindings.  Returns the entry port for trace recording.
-        """
-        csr = self._csr
-        old = r.node
-        i = csr.row_offsets[old] + port
-        new = csr.neighbor[i]
-        entry = csr.entry_port[i]
-        occ_lists = self._occ
-        cards_cache = self._cards
-        ol = occ_lists[old]
-        ol.remove(r)
-        cards_cache[old] = None
-        if not ol:
-            self._occupied -= 1
-        nl = occ_lists[new]
-        if nl:
-            lab = r.label
-            j = len(nl)
-            while j and nl[j - 1].label > lab:
-                j -= 1
-            nl.insert(j, r)
-        else:
-            nl.append(r)
-            self._occupied += 1
-        cards_cache[new] = None
-        r.node = new
-        r.entry_port = entry
-        r.moves += 1
-        if meet_watch:
-            arrivals.add(new)
-        return entry
 
     def _add_follower(self, r: RobotState, target: int) -> None:
         """Enter ``r`` into the reverse leader->followers index."""
@@ -1639,6 +1442,3 @@ class _Walker:
         del self.walkers[rid]
         return send(ob)
 
-
-def _moving_label(entry: Tuple[RobotState, int]) -> int:
-    return entry[0].label

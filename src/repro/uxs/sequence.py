@@ -6,8 +6,9 @@ move) and reads symbol ``σ`` leaves through port ``(e + σ) mod δ``.  The
 rule lives in three places:
 
 * the engine, which runs declared walks (:meth:`repro.sim.actions.Action.walk`)
-  in the scheduler's ``_Walker`` cursor and ``_soa_walk_stretch`` loop, and
-  through :func:`repro.sim.robot.expand_walks` on the general path;
+  in the scheduler's ``_Walker`` cursor, in both regimes, and its
+  ``_soa_walk_stretch`` loop, and through
+  :func:`repro.sim.robot.expand_walks` in the seed scheduler;
 * robot programs, which see only the degree and the entry port
   (``uxs_explore`` in :mod:`repro.core.uxs_gathering`);
 * the harness walks here and in :mod:`repro.uxs.verify`, which step the

@@ -32,8 +32,9 @@ from repro.graphs import generators as gg
 from repro.graphs.port_graph import PortGraphError
 from repro.runtime.spec import materialize
 from repro.scenarios import get_scenario, scenario_names
-from repro.sim.activation import build_activation
+from repro.sim.activation import SynchronousActivation, build_activation
 from repro.sim.actions import Action
+from repro.sim.engines import IncrementalScheduler
 from repro.sim.errors import ProtocolViolation
 from repro.sim.reference import ReferenceScheduler
 from repro.sim.robot import RobotSpec
@@ -129,8 +130,8 @@ def run_both_untraced(
 ):
     """Differential run with ``trace=None`` — the SoA hot-loop regime.
 
-    Tracing forces the general path, so :func:`run_both` alone would never
-    execute the struct-of-arrays sweep; this variant compares everything
+    Tracing forces the per-round driver, so :func:`run_both` alone would
+    never execute the struct-of-arrays sweep; this variant compares everything
     *except* traces (positions, round counter, statuses, full metrics).
     Activation models are stateful, so each scheduler gets a fresh one.
     """
@@ -393,6 +394,50 @@ def test_remote_follower_invalid_inherited_port_raises_like_seed():
             assert [e.kind for e in events] == ["move"]  # the leader's applied move
 
 
+def test_follower_moves_before_invalid_inherited_port_stay_in_trace():
+    """Two non-co-located one-round followers of a mover (non-strict): the
+    lower label can take the inherited port, the higher label's node
+    lacks it.  The seed records each move as it applies it, so its trace
+    keeps the leader's and the first follower's moves when the second
+    follower raises; every traced run must keep both as well."""
+    g = gg.path(4)
+
+    def leader(ctx):
+        obs = yield
+        obs = yield Action.move(1)  # node 1 -> node 2, entering at port 0
+        yield Action.terminate()
+
+    def follower(ctx):
+        obs = yield
+        obs = yield Action.follow_once(2)
+        yield Action.terminate()
+
+    def make_specs():
+        return [
+            _spec(2, 1, leader),
+            _spec(3, 2, follower),  # node 2, port 1 -> node 3
+            _spec(4, 0, follower),  # node 0 has degree 1: port 1 is invalid
+        ]
+
+    runs = [
+        (ReferenceScheduler, None),
+        (Scheduler, None),
+        (IncrementalScheduler, None),
+        (Scheduler, SynchronousActivation()),
+    ]
+    for cls, activation in runs:
+        trace = TraceRecorder()
+        sched = cls(g, make_specs(), trace=trace, activation=activation)
+        with pytest.raises(PortGraphError) as exc:
+            sched.run(max_rounds=50)
+        assert str(exc.value) == "node 0 has degree 1; port 1 is invalid", cls
+        assert [(e.round, e.kind, e.robot, e.data) for e in trace.events] == [
+            (0, "move", 2, (1, 0)),
+            (0, "move", 3, (1, 0)),
+        ], (cls, activation)
+        assert sched.positions() == {2: 2, 3: 3, 4: 0}, (cls, activation)
+
+
 def test_stop_on_gather_runs_match():
     g = gg.ring(6)
 
@@ -481,8 +526,8 @@ def test_follower_scripts_untraced_bit_identical(graph_pick, scripts, data):
 # ---------------------------------------------------------------------------
 # Untraced differential: the SoA hot loop on real algorithms
 # ---------------------------------------------------------------------------
-# Tracing forces the general path, so the matrix tests above never execute
-# the struct-of-arrays sweep; these repeat representative workloads with
+# Tracing forces the per-round driver, so the matrix tests above never
+# execute the struct-of-arrays sweep; these repeat representative workloads with
 # trace=None and compare positions/statuses/round/metrics.
 
 

@@ -2,10 +2,10 @@
 
 ``uxs_explore`` yields one :meth:`Action.walk` per exploration and the
 engines run it under the hand-back rule (:mod:`repro.sim.actions`): the
-``soa`` loop and the batch engines natively, the general path through
-:func:`repro.sim.robot.expand_walks`.  This module keeps the per-round
-exploration it replaced -- one yielded move per round, the merge rule
-after every move -- as the reference, patches it into
+``soa`` loop, the batch engines and the per-round driver natively, the
+seed scheduler through :func:`repro.sim.robot.expand_walks`.  This module
+keeps the per-round exploration it replaced -- one yielded move per round,
+the merge rule after every move -- as the reference, patches it into
 ``repro.core.uxs_gathering`` and asserts that both give the same records,
 the same ``RunMetrics`` (moves and active rounds by robot included) and
 the same final positions, on every engine, for UXS-Gathering from
