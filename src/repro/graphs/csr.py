@@ -24,14 +24,43 @@ The compiled form is immutable by convention (never mutate the lists) and is
 built lazily, once, by :attr:`PortGraph.csr`.  All flat-array graph
 algorithms used by the traversal layer live here so every caller — the
 scheduler, BFS utilities, generators' connectivity checks, UXS plan search
-and certification (:mod:`repro.uxs.verify`) — shares one kernel.
+and certification (:mod:`repro.uxs.verify`), and the exploration walks
+(:func:`walk_rows`: the scheduler's walk stretches through
+:func:`walk_table`, and :func:`repro.uxs.sequence.exploration_walk`) —
+shares one kernel.
+
+Walk tables
+-----------
+
+An exploration walk (:mod:`repro.uxs.sequence`) that starts from the
+virtual entry port 0 is fixed by the graph, the plan and the start node,
+so a graph has at most ``n`` of them per plan.  :func:`walk_rows` steps one
+whole walk and returns two compact rows, the node and the entry port after
+each step (one byte per step, two when ``n`` or the largest degree is 256
+or more).  Rows are :mod:`array` rows, not lists, because they are kept:
+a list slot costs eight bytes, and numpy reads an array in place.
+:func:`walk_table` keeps the rows of the *current graph* only:
+one module-level entry, keyed by the CSR's identity, then the offsets
+tuple's identity, then the start node, holding strong references to each,
+and replaced when another graph's walks need rows.  The replicas of one
+graph share its rows and nothing else is kept;
+:func:`repro.runtime.graph_cache.clear` drops them through
+:func:`clear_walk_tables`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["CSRPortGraph", "bfs_distances_csr", "is_connected_csr"]
+__all__ = [
+    "CSRPortGraph",
+    "bfs_distances_csr",
+    "is_connected_csr",
+    "walk_rows",
+    "walk_table",
+    "clear_walk_tables",
+]
 
 
 class CSRPortGraph:
@@ -132,3 +161,76 @@ def is_connected_csr(csr: CSRPortGraph) -> bool:
                     nxt.append(u)
         frontier = nxt
     return count == csr.n
+
+
+def walk_rows(
+    csr: CSRPortGraph, offsets: Sequence[int], start: int, entry_port: int
+) -> Tuple[array, array]:
+    """The rows of the exploration walk of ``offsets`` from ``start``.
+
+    Step ``s`` leaves through port ``(e + offsets[s]) mod degree``, where
+    ``e`` is ``entry_port`` before the first step and the entry port the
+    previous step produced afterwards.  Returns ``(nodes, ports)``: the
+    node and the entry port after each step, as ``array('B')`` rows, or
+    ``array('H')`` (``'L'`` past 65,535) when ``n`` or the largest degree
+    is 256 or more.  This is the one loop that steps a whole walk.
+    """
+    row = csr.row_offsets
+    nbr = csr.neighbor
+    ent = csr.entry_port
+    deg = csr.degree
+    top = max(csr.n, max(deg, default=0))
+    code = "B" if top < 256 else "H" if top < 65536 else "L"
+    nodes: List[int] = []
+    ports: List[int] = []
+    add_node = nodes.append
+    add_port = ports.append
+    v = start
+    e = entry_port
+    for sym in offsets:
+        j = row[v] + (e + sym) % deg[v]
+        v = nbr[j]
+        e = ent[j]
+        add_node(v)
+        add_port(e)
+    return array(code, nodes), array(code, ports)
+
+
+#: Offsets tuples whose rows one graph keeps at once; the oldest goes first.
+_MAX_WALK_PLANS = 8
+
+#: The current graph's walk rows: ``(csr, {id(offsets): (offsets, {start:
+#: (nodes, ports)})})``, or ``None``.  Each entry holds its CSR and its
+#: offsets tuple, so no identity in the keys can name another object.
+_walk_tables: Optional[
+    Tuple[CSRPortGraph, Dict[int, Tuple[Sequence[int], Dict[int, Tuple[array, array]]]]]
+] = None
+
+
+def walk_table(csr: CSRPortGraph, offsets: Sequence[int], start: int) -> Tuple[array, array]:
+    """The memoized :func:`walk_rows` of ``offsets`` from ``start`` on
+    ``csr``, from the virtual entry port 0 (see the module docstring).
+
+    A call for another CSR replaces the memo; callers must not mutate the
+    rows.
+    """
+    global _walk_tables
+    tables = _walk_tables
+    if tables is None or tables[0] is not csr:
+        tables = _walk_tables = (csr, {})
+    plans = tables[1]
+    plan = plans.get(id(offsets))
+    if plan is None:
+        if len(plans) >= _MAX_WALK_PLANS:
+            del plans[next(iter(plans))]
+        plan = plans[id(offsets)] = (offsets, {})
+    rows = plan[1].get(start)
+    if rows is None:
+        rows = plan[1][start] = walk_rows(csr, offsets, start, 0)
+    return rows
+
+
+def clear_walk_tables() -> None:
+    """Drop the memoized walk rows."""
+    global _walk_tables
+    _walk_tables = None

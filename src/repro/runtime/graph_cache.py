@@ -18,7 +18,9 @@ the adjacency and the lazily-compiled CSR kernel.
 The same memo holds two graph-pure answers keyed by graph identity: the
 pairwise start-distance memos (:func:`pair_memo_for`) and the UXS
 certifications that passed (:func:`is_certified`), so the specs of one
-memoized graph pay each once per process.  :func:`clear` drops them all.
+memoized graph pay each once per process.  :func:`clear` drops them all,
+and with them the exploration-walk rows that the scheduler keeps for the
+current graph (:func:`repro.graphs.csr.walk_table`).
 
 ``benchmarks/bench_sweep.py`` measures the wall-clock effect and writes
 ``BENCH_sweep.json``; :func:`disabled` is the benchmark's (and any
@@ -31,6 +33,7 @@ import json
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Tuple
 
+from repro.graphs.csr import clear_walk_tables
 from repro.graphs.generators import by_name
 from repro.graphs.port_graph import PortGraph
 
@@ -145,12 +148,13 @@ def cache_info() -> Dict[str, int]:
 
 
 def clear() -> None:
-    """Drop every memoized graph, pair-distance memo and certification,
-    and reset the counters."""
+    """Drop every memoized graph, pair-distance memo, certification and
+    walk row, and reset the counters."""
     global _hits, _misses
     _cache.clear()
     _pair_memos.clear()
     _certified.clear()
+    clear_walk_tables()
     _hits = 0
     _misses = 0
 

@@ -37,8 +37,13 @@ observations at which its per-round loop could decide differently; every
 skipped observation carried the tuple it had already judged.  Progress
 lives on the walk: the engine advances ``walk.steps``, the program yields
 the same walk again to continue it, and yielding a finished walk is a
-protocol violation.  ``steps`` is the one field of an action that changes
-after its factory returns, which is why every walk is a fresh object.
+protocol violation.  ``steps`` and ``start``, the node the walk took its
+first step from (written by the engine when it takes that step, and kept
+when the walk resumes), are the two fields of an action that change after
+its factory returns, which is why every walk is a fresh object.  ``start``
+is the engine's own record, which lets it read the walk's trajectory from
+a table (:func:`repro.graphs.csr.walk_table`); node identities are not
+part of what a robot perceives, so programs must not read it.
 Engines without native walks run programs through
 :func:`repro.sim.robot.expand_walks`, which turns each walk back into
 per-round moves under the same rule.
@@ -74,12 +79,13 @@ class Action:
     """One robot decision for one round.  Use the factory classmethods.
 
     Actions are immutable values: nothing may change an action's fields
-    after a factory returns it, with one exception -- ``steps``, the
-    number of steps of a walk taken so far, is the one field the engine
-    changes (see the module docstring).  Factories may therefore return
-    shared instances -- a plain ``move(p)`` (an exact ``int`` port,
-    0 <= p < 64, no card, no note) and a plain ``stay()`` always return
-    the same object -- so programs must not rely on an action's identity.
+    after a factory returns it, with two exceptions on walks -- ``steps``,
+    the number of steps taken so far, and ``start``, the node of the first
+    step, are the two fields the engine writes (see the module docstring).
+    Factories may therefore return shared instances -- a plain
+    ``move(p)`` (an exact ``int`` port, 0 <= p < 64, no card, no note) and
+    a plain ``stay()`` always return the same object -- so programs must
+    not rely on an action's identity.
     A walk is never shared.
     """
 
@@ -95,6 +101,7 @@ class Action:
         "note",
         "offsets",
         "steps",
+        "start",
     )
 
     def __init__(
@@ -124,6 +131,7 @@ class Action:
         self.note = note
         self.offsets = offsets
         self.steps = 0
+        self.start: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Factories

@@ -79,8 +79,9 @@ those arrays:
   then swaps the robot's ``_sends`` entry for a cursor (:class:`_Walker`)
   that returns the next move while the cards match and hands back to the
   program otherwise.  When every active robot is a walker, whole stretches
-  of rounds run in :meth:`_soa_walk_stretch` without an observation or a
-  send.
+  of rounds run in :meth:`_soa_walk_stretch` without an observation, a
+  send or a step: a search over the walks' trajectory rows
+  (:func:`~repro.graphs.csr.walk_table`) finds where the stretch ends.
 * the **per-round driver** (:meth:`_step_general`) runs every other run,
   one ``_step`` per round, over the same arrays: the activation model (if
   any) picks who acts, every action goes through :meth:`_soa_cold`,
@@ -111,6 +112,9 @@ import heapq
 from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.graphs.csr import walk_table
 from repro.graphs.port_graph import PortGraph, PortGraphError
 from repro.sim import robot as rb
 from repro.sim.actions import (
@@ -613,75 +617,81 @@ class Scheduler:
                 pend += 1
                 track = True if followers_of else self._meet_sleepers > 0
                 cold = False
-                for i in active:
-                    node = pos[i]
-                    ob = obs_l[i]
-                    ob.round = rnd
-                    ob.degree = dg = deg[node]
-                    ob.entry_port = entry[i]
-                    if shared is None:
-                        ob.cards = own[i] if node != dup else dup_cards
-                    else:
-                        cards = shared.get(node)
-                        ob.cards = own[i] if cards is None else cards
-                    try:
-                        a = sends[i](ob)
-                    except StopIteration:
-                        raise ProtocolViolation(
-                            f"robot {labels[i]}: program returned without terminating"
-                        ) from None
-                    try:
-                        kind = a.hot_kind
-                    except AttributeError:
-                        if a is None:
-                            raise ProtocolViolation(
-                                f"robot {labels[i]}: yielded None instead of an Action"
-                            ) from None
-                        raise
-                    if kind == MOVE:
-                        p = a.port
+                try:
+                    for i in active:
+                        node = pos[i]
+                        ob = obs_l[i]
+                        ob.round = rnd
+                        ob.degree = dg = deg[node]
+                        ob.entry_port = entry[i]
+                        if shared is None:
+                            ob.cards = own[i] if node != dup else dup_cards
+                        else:
+                            cards = shared.get(node)
+                            ob.cards = own[i] if cards is None else cards
                         try:
-                            ok = 0 <= p < dg
-                        except TypeError:  # port is None
-                            ok = False
-                        if not ok:
+                            a = sends[i](ob)
+                        except StopIteration:
                             raise ProtocolViolation(
-                                f"robot {labels[i]}: invalid port {p} on a degree-"
-                                f"{dg} node"
+                                f"robot {labels[i]}: program returned without terminating"
+                            ) from None
+                        try:
+                            kind = a.hot_kind
+                        except AttributeError:
+                            if a is None:
+                                raise ProtocolViolation(
+                                    f"robot {labels[i]}: yielded None instead of an Action"
+                                ) from None
+                            raise
+                        if kind == MOVE:
+                            p = a.port
+                            try:
+                                ok = 0 <= p < dg
+                            except TypeError:  # port is None
+                                ok = False
+                            if not ok:
+                                raise ProtocolViolation(
+                                    f"robot {labels[i]}: invalid port {p} on a degree-"
+                                    f"{dg} node"
+                                )
+                            j = row[node] + p
+                            pos[i] = nbr[j]
+                            entry[i] = ent[j]
+                            mvs[i] += 1
+                            if track:
+                                movers_i.append(i)
+                                movers_p.append(p)
+                        elif kind != STAY:
+                            if kind == FOLLOW_ONCE:
+                                # the target is judged on pre-round positions,
+                                # as _soa_check_follow_target does (which
+                                # raises the seed's error for a bad one)
+                                t = a.target
+                                leader = by_label.get(t)
+                                if (
+                                    leader is None
+                                    or leader.rid == i
+                                    or (strict and prev_pos[leader.rid] != node)
+                                ):
+                                    self._soa_check_follow_target(i, t, prev_pos)
+                                followers_once.append(i)
+                                once_leaders.append(leader.rid)
+                                continue
+                            # _soa_cold may flush the active-round counter
+                            self._ar_pending += pend
+                            pend = 0
+                            cold = True
+                            track = self._soa_cold(
+                                i, a, rnd, track,
+                                movers_i, movers_p, terminators,
+                                followers_once, once_leaders,
+                                deactivated, prev_pos,
                             )
-                        j = row[node] + p
-                        pos[i] = nbr[j]
-                        entry[i] = ent[j]
-                        mvs[i] += 1
-                        if track:
-                            movers_i.append(i)
-                            movers_p.append(p)
-                    elif kind != STAY:
-                        if kind == FOLLOW_ONCE:
-                            # the target is judged on pre-round positions,
-                            # as _soa_check_follow_target does (which
-                            # raises the seed's error for a bad one)
-                            t = a.target
-                            leader = by_label.get(t)
-                            if (
-                                leader is None
-                                or leader.rid == i
-                                or (strict and prev_pos[leader.rid] != node)
-                            ):
-                                self._soa_check_follow_target(i, t, prev_pos)
-                            followers_once.append(i)
-                            once_leaders.append(leader.rid)
-                            continue
-                        # _soa_cold may flush the active-round counter
-                        self._ar_pending += pend
-                        pend = 0
-                        cold = True
-                        track = self._soa_cold(
-                            i, a, rnd, track,
-                            movers_i, movers_p, terminators,
-                            followers_once, once_leaders,
-                            deactivated, prev_pos,
-                        )
+                except BaseException:
+                    # as if the round's moves had not applied yet, as in
+                    # the seed, which applies them once every robot acted
+                    self._undo_sweep_moves(prev_pos)
+                    raise
 
                 if cold:
                     all_cards = None
@@ -830,6 +840,26 @@ class Scheduler:
         if bits > self.metrics.max_card_bits:
             self.metrics.max_card_bits = bits
 
+    def _undo_sweep_moves(self, prev_pos: List[int]) -> None:
+        """Put back every robot the raising sweep of this round moved.
+
+        Each robot moves at most once in a sweep, and port graphs have no
+        self-loops, so ``pos != prev_pos`` is exactly "moved": its node
+        and move count go back, and its entry port is the one its
+        observation was given this round.  Runs only on the path that
+        raises; errors raised later, while follows resolve, keep the moves
+        already applied, as the seed does.
+        """
+        pos = self._pos
+        entry = self._entry
+        mvs = self._moves
+        obs_l = self._obs
+        for j, old in enumerate(prev_pos):
+            if pos[j] != old:
+                pos[j] = old
+                entry[j] = obs_l[j].entry_port
+                mvs[j] -= 1
+
     def _soa_reconstruct_movers(
         self, prev_pos: List[int], movers_i: List[int], movers_p: List[int]
     ) -> None:
@@ -966,6 +996,8 @@ class Scheduler:
             csr = self._csr
             pos = self._pos
             node = pos[i]
+            if not s:
+                action.start = node
             p = ((self._entry[i] if s else 0) + offsets[s]) % csr.degree[node]
             j = csr.row_offsets[node] + p
             pos[i] = csr.neighbor[j]
@@ -984,18 +1016,23 @@ class Scheduler:
     def _soa_walk_stretch(self, rnd: int, end: int, posset: set) -> int:
         """Run rounds from ``rnd`` in which every active robot is a walker.
 
-        Moves the walkers and their riders round by round without an
-        observation or a send, and commits positions, entry ports and
-        moves once; the caller advances the round and the deferred
-        counters by the returned count.  Stops before ``end``, before the
-        next wake round, when a walk runs out (its next activation hands
-        back), and before a step that would put a walker group on a node
-        holding any other robot or on another group's node: that round
-        goes through the sweep, which wakes meet-sleepers and hands back
-        on the changed cards.  Returns 0, leaving the round to the sweep,
-        unless every walker group (a walker and its riders) stands alone
-        on its node and sees the cards its walk was yielded with -- the
-        cards every round of the stretch would show it.
+        Steps nothing: each walk's trajectory, the node and the entry port
+        after every step, is a row of :func:`~repro.graphs.csr.walk_table`
+        (built on the first stretch that needs it), and one search over
+        the rows finds the stretch's length.  Positions, entry ports and
+        moves of the walkers and their riders are committed once; the
+        caller advances the round and the deferred counters by the
+        returned count.  Stops before ``end``, before the next wake round,
+        when a walk runs out (its next activation hands back), and before
+        a step that would put a walker group on a node holding any other
+        robot or on another group's node: that round goes through the
+        sweep, which wakes meet-sleepers and hands back on the changed
+        cards.  Returns 0, leaving the round to the sweep, unless every
+        walker group (a walker and its riders) stands alone on its node
+        and sees the cards its walk was yielded with -- the cards every
+        round of the stretch would show it -- and stands where its row
+        says (a program that moved between a hand-back and the resume has
+        left the row).
         """
         heap = self._wake_heap
         if heap and heap[0][0] < end:
@@ -1024,68 +1061,42 @@ class Scheduler:
             others.discard(node)
             groups.append((i, walker, group))
 
-        csr = self._csr
-        row = csr.row_offsets
-        nbr = csr.neighbor
-        ent = csr.entry_port
-        deg = csr.degree
         entry = self._entry
-        if len(groups) == 1:
-            # a lone walker: the whole stretch in scalars
-            i, walker, group = groups[0]
-            offs = walker.offsets
-            s0 = s = walker.steps
-            stop = min(len(offs), s + end - rnd)
-            node = pos[i]
-            e = entry[i]
-            while s < stop:
-                j = row[node] + (e + offs[s]) % deg[node]
-                nxt = nbr[j]
-                if nxt in others:
-                    break
-                node = nxt
-                e = ent[j]
-                s += 1
-            m = s - s0
-            if m:
-                walker.steps = s
-                mvs = self._moves
-                for q in (i, *group):
-                    pos[q] = node
-                    entry[q] = e
-                    mvs[q] += m
-            return m
+        stop = end - rnd
+        for i, walker, _ in groups:
+            if walker.nodes is None:
+                walker.nodes, walker.ports = walk_table(self._csr, walker.offsets, walker.walk.start)
+            nodes = walker.nodes
+            s = walker.steps  # >= 1: the cold path took the first step
+            if nodes[s - 1] != pos[i] or walker.ports[s - 1] != entry[i]:
+                return 0
+            if len(nodes) - s < stop:
+                stop = len(nodes) - s
+        if stop <= 0:
+            return 0
 
-        # several walker groups, stepping in lockstep
-        g = len(groups)
-        offs_l = [w.offsets for _, w, _ in groups]
-        base = [w.steps for _, w, _ in groups]
-        nodes = [pos[i] for i, _, _ in groups]
-        ents = [entry[i] for i, _, _ in groups]
-        new_nodes = nodes[:]
-        new_ents = ents[:]
-        stop = min(end - rnd, min(len(o) - b for o, b in zip(offs_l, base)))
-        m = 0
-        while m < stop:
-            for q in range(g):
-                node = nodes[q]
-                j = row[node] + (ents[q] + offs_l[q][base[q] + m]) % deg[node]
-                nxt = nbr[j]
-                if nxt in others:
-                    break
-                new_nodes[q] = nxt
-                new_ents[q] = ent[j]
-            else:
-                if len(set(new_nodes)) == g:
-                    nodes, new_nodes = new_nodes, nodes
-                    ents, new_ents = new_ents, ents
-                    m += 1
-                    continue
-            break
+        # the nodes each group reaches in the next `stop` rounds; the
+        # stretch ends before the first round that puts a group on an
+        # occupied node or two groups on one node
+        wins = []
+        hit = np.zeros(stop, dtype=bool)
+        for _, walker, _ in groups:
+            s = walker.steps
+            win = np.frombuffer(walker.nodes, walker.nodes.typecode)[s : s + stop]
+            for o in others:
+                hit |= win == o
+            for prev in wins:
+                hit |= win == prev
+            wins.append(win)
+        m = int(hit.argmax())
+        if not hit[m]:
+            m = stop
         if m:
             mvs = self._moves
-            for (i, walker, group), node, e in zip(groups, nodes, ents):
-                walker.steps += m
+            for i, walker, group in groups:
+                s = walker.steps = walker.steps + m
+                node = walker.nodes[s - 1]
+                e = walker.ports[s - 1]
                 for q in (i, *group):
                     pos[q] = node
                     entry[q] = e
@@ -1275,30 +1286,34 @@ class Scheduler:
         followers_once: List[int] = []
         once_leaders: List[int] = []
         deactivated: List[int] = []
-        for i in acting:  # label order
-            node = pos[i]
-            ob = obs_l[i]
-            ob.round = rnd
-            ob.degree = deg[node]
-            ob.entry_port = entry[i]
-            ob.cards = own[i] if cards_at is None else cards_at[node]
-            ar[i] += 1
-            try:
-                action = sends[i](ob)
-            except StopIteration:
-                raise ProtocolViolation(
-                    f"robot {labels[i]}: program returned without terminating"
-                ) from None
-            if action is None:
-                raise ProtocolViolation(
-                    f"robot {labels[i]}: yielded None instead of an Action"
+        try:
+            for i in acting:  # label order
+                node = pos[i]
+                ob = obs_l[i]
+                ob.round = rnd
+                ob.degree = deg[node]
+                ob.entry_port = entry[i]
+                ob.cards = own[i] if cards_at is None else cards_at[node]
+                ar[i] += 1
+                try:
+                    action = sends[i](ob)
+                except StopIteration:
+                    raise ProtocolViolation(
+                        f"robot {labels[i]}: program returned without terminating"
+                    ) from None
+                if action is None:
+                    raise ProtocolViolation(
+                        f"robot {labels[i]}: yielded None instead of an Action"
+                    )
+                self._soa_cold(
+                    i, action, rnd, True,
+                    movers_i, movers_p, terminators,
+                    followers_once, once_leaders,
+                    deactivated, prev_pos,
                 )
-            self._soa_cold(
-                i, action, rnd, True,
-                movers_i, movers_p, terminators,
-                followers_once, once_leaders,
-                deactivated, prev_pos,
-            )
+        except BaseException:
+            self._undo_sweep_moves(prev_pos)
+            raise
         for i in deactivated:
             self._active.remove(i)
 
@@ -1412,15 +1427,20 @@ class _Walker:
     Its bound :meth:`step` stands in the robot's ``_sends`` slot from the
     walk's first step until the hand-back, so the sweep activates a walker
     exactly as it activates any robot and no other action pays for walks.
+    ``nodes`` and ``ports`` are the walk's rows, fetched by the first
+    stretch the walker takes part in.
     """
 
-    __slots__ = ("walk", "offsets", "steps", "cards", "rid", "send", "sends", "walkers")
+    __slots__ = (
+        "walk", "offsets", "steps", "cards", "nodes", "ports", "rid", "send", "sends", "walkers",
+    )
 
     def __init__(self, sched: Scheduler, rid: int, walk: Action, steps: int, cards):
         self.walk = walk
         self.offsets = walk.offsets
         self.steps = steps  # steps taken; walk.steps is written at hand-back
         self.cards = cards  # the card tuple the program saw when it yielded
+        self.nodes = self.ports = None
         self.rid = rid
         self.send = sched.robots[rid].send  # the program's own
         self.sends = sched._sends

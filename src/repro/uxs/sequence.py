@@ -6,17 +6,20 @@ move) and reads symbol ``σ`` leaves through port ``(e + σ) mod δ``.  The
 rule lives in three places:
 
 * the engine, which runs declared walks (:meth:`repro.sim.actions.Action.walk`)
-  in the scheduler's ``_Walker`` cursor, in both regimes, and its
-  ``_soa_walk_stretch`` loop, and through
-  :func:`repro.sim.robot.expand_walks` in the seed scheduler;
+  in the scheduler's ``_Walker`` cursor, one step per activation, in both
+  regimes, and through :func:`repro.sim.robot.expand_walks` in the seed
+  scheduler; its ``_soa_walk_stretch`` steps nothing itself and searches
+  the rows of :func:`repro.graphs.csr.walk_table` instead;
 * robot programs, which see only the degree and the entry port
   (``uxs_explore`` in :mod:`repro.core.uxs_gathering`);
-* the harness walks here and in :mod:`repro.uxs.verify`, which step the
-  graph's CSR arrays (:mod:`repro.graphs.csr`) as the engine does.
+* the graph's CSR arrays (:mod:`repro.graphs.csr`): the one loop that
+  steps a whole walk, :func:`repro.graphs.csr.walk_rows`, which builds the
+  engine's rows and :func:`exploration_walk` here, and the cover walks of
+  :mod:`repro.uxs.verify`, which stop at the cover step.
 
 ``tests/test_walks.py`` checks the engine's walks against the programs'
-per-round moves, and ``tests/test_uxs.py`` checks these walks against the
-``graph.traverse`` walk they replaced.
+per-round moves, and ``tests/test_uxs.py`` checks these walks and the
+rows against the ``graph.traverse`` walk they replaced.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.graphs.csr import walk_rows
 from repro.graphs.port_graph import PortGraph
 
 __all__ = ["UxsPlan", "exploration_walk", "next_port"]
@@ -70,20 +74,9 @@ def exploration_walk(
     """Simulator-side execution of an exploration sequence.
 
     Returns the node sequence (length ``len(offsets) + 1``, starting with
-    ``start``).  Used by the verifier and by tests that cross-check robot
-    behaviour.
+    ``start``): ``start``, then the node row of
+    :func:`repro.graphs.csr.walk_rows`.  Used by tests that cross-check
+    robot behaviour.
     """
-    csr = graph.csr
-    row = csr.row_offsets
-    nbr = csr.neighbor
-    ent = csr.entry_port
-    deg = csr.degree
-    v = start
-    e = entry_port
-    out = [v]
-    for sym in offsets:
-        j = row[v] + (e + sym) % deg[v]
-        v = nbr[j]
-        e = ent[j]
-        out.append(v)
-    return out
+    nodes, _ = walk_rows(graph.csr, offsets, start, entry_port)
+    return [start, *nodes]

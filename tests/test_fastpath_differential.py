@@ -438,6 +438,59 @@ def test_follower_moves_before_invalid_inherited_port_stay_in_trace():
         assert sched.positions() == {2: 2, 3: 3, 4: 0}, (cls, activation)
 
 
+@pytest.mark.parametrize("first", ["move", "walk_first_step", "walk_later_step"])
+def test_moves_before_a_violation_in_the_sweep_are_undone(first):
+    """ring(6): label 1 at node 0 moves (or walks) and label 2 at node 3
+    then yields ``move(5)`` on a degree-2 node.  The seed computes every
+    action before it applies a move, so the violation leaves label 1 on
+    its start-of-round node, entry port and move count; every engine,
+    traced or under an activation model, must leave the same state.  In
+    the ``walk_later_step`` case the violation comes at round 2, after
+    label 1's walk took two steps."""
+    g = gg.ring(6)
+    at = 2 if first == "walk_later_step" else 0
+
+    def mover(ctx):
+        obs = yield
+        if first == "move":
+            obs = yield Action.move(0)
+        else:
+            walk = Action.walk((1,) * 10)
+            while walk.steps < 10:
+                obs = yield walk
+        yield Action.terminate()
+
+    def violator(ctx):
+        obs = yield
+        for _ in range(at):
+            obs = yield Action.stay()
+        obs = yield Action.move(5)
+        yield Action.terminate()
+
+    runs = [
+        (ReferenceScheduler, None, None),
+        (Scheduler, None, None),
+        (IncrementalScheduler, None, None),
+        (Scheduler, TraceRecorder(), None),
+        (Scheduler, None, SynchronousActivation()),
+    ]
+    states = []
+    for cls, trace, activation in runs:
+        sched = cls(g, [_spec(1, 0, mover), _spec(2, 3, violator)], trace=trace,
+                    activation=activation)
+        with pytest.raises(ProtocolViolation, match="robot 2: invalid port 5"):
+            sched.run(max_rounds=50)
+        sched._sync_states()
+        states.append(
+            (sched.positions(), [(r.label, r.node, r.entry_port, r.moves) for r in sched.robots])
+        )
+    positions = {1: 0, 2: 3} if at == 0 else states[0][0]
+    assert at == 0 or positions[1] != 0  # the walk had moved label 1 before round 2
+    for (cls, trace, activation), state in zip(runs, states):
+        assert state == states[0], (cls, trace, activation)
+        assert state[0] == positions
+
+
 def test_stop_on_gather_runs_match():
     g = gg.ring(6)
 

@@ -413,6 +413,32 @@ class TestGraphMemoization:
             graph_cache.graph_for("ring", {"n": n})
         assert graph_cache.cache_info()["size"] <= graph_cache.MAX_ENTRIES
 
+    def test_clear_drops_the_walk_tables(self):
+        """The scheduler's walk rows go with the graphs; rows rebuilt after
+        ``clear`` equal the dropped ones, and the record is unchanged."""
+        from repro.graphs import csr
+        from repro.runtime import graph_cache
+
+        def rows():
+            tables = csr._walk_tables
+            assert tables[0] is graph_cache.graph_for("ring", {"n": 12}).csr
+            return {
+                (len(offsets), start): pair
+                for offsets, starts in tables[1].values()
+                for start, pair in starts.items()
+            }
+
+        spec = RunSpec("uxs", "ring", {"n": 12}, placement="dispersed", k=3, seed=5)
+        first = execute_spec(spec).run
+        before = rows()
+        assert before
+        graph_cache.clear()
+        assert csr._walk_tables is None
+        assert execute_spec(spec).run.to_dict() == first.to_dict()
+        after = rows()
+        assert after == before
+        assert all(after[key] is not before[key] for key in after)
+
 
 class TestChunkedCache:
     """Chunked result-record aggregation (``put_batch`` / ``cache_chunk``)."""

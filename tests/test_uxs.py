@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.graphs import generators as gg
+from repro.graphs.csr import walk_rows, walk_table
 from repro.graphs.enumeration import all_port_graphs
 from repro.graphs.port_graph import PortGraph
 from repro.uxs.generators import (
@@ -309,3 +310,72 @@ class TestWalkKernel:
             for e in range(g.degree(s)):
                 assert exploration_walk(g, offsets, s, e) == _traverse_walk(g, offsets, s, e)
             assert len(walks) == g.degree(s) or g.degree(s) == 1
+
+
+def _traverse_rows(graph, offsets, start):
+    """The node and the entry port after each step of the ``graph.traverse``
+    walk from the virtual entry port 0."""
+    v, e = start, 0
+    nodes, ports = [], []
+    for sym in offsets:
+        v, e = graph.traverse(v, (e + sym) % graph.degree(v))
+        nodes.append(v)
+        ports.append(e)
+    return nodes, ports
+
+
+#: The six topologies of perfbench's ``uxs-sweep``.
+UXS_SWEEP_GRAPHS = [
+    g for n in (12, 16) for g in (gg.ring(n), gg.random_regular(n, 3, seed=1), gg.torus(4, n // 4))
+]
+
+
+class TestWalkRows:
+    def _check(self, g, offsets):
+        for s in g.nodes():
+            nodes, ports = walk_rows(g.csr, offsets, s, 0)
+            assert (list(nodes), list(ports)) == _traverse_rows(g, offsets, s)
+            assert exploration_walk(g, offsets, s) == [s, *nodes]
+            assert walk_table(g.csr, offsets, s) == (nodes, ports)
+
+    @pytest.mark.parametrize("n", range(5, 25))
+    def test_rows_match_traverse_walk_on_the_battery(self, n):
+        offsets = practical_plan(n).offsets[: 10 * n]
+        for g in certification_battery(n):
+            self._check(g, offsets)
+            assert walk_rows(g.csr, offsets, 0, 0)[0].typecode == "B"
+
+    @pytest.mark.parametrize("g", UXS_SWEEP_GRAPHS, ids=lambda g: f"n{g.n}-deg{g.degree(0)}")
+    def test_rows_match_traverse_walk_on_the_sweep_graphs(self, g):
+        self._check(g, practical_plan(g.n).offsets)
+
+    @pytest.mark.parametrize("g", [gg.ring(300), gg.star(300)], ids=["ring300", "star300"])
+    def test_two_byte_rows(self, g):
+        offsets = practical_plan(12).offsets[:40]
+        self._check(g, offsets)
+        nodes, ports = walk_rows(g.csr, offsets, 0, 0)
+        assert nodes.typecode == ports.typecode == "H" and nodes.itemsize == 2
+
+    def test_memo_keeps_the_current_graph_only(self):
+        a, b = gg.ring(12), gg.ring(12)
+        offsets = practical_plan(12).offsets
+        other = tuple(offsets)[:100]
+        rows = walk_table(a.csr, offsets, 3)
+        assert walk_table(a.csr, offsets, 3) is rows  # memoized
+        assert walk_table(a.csr, other, 3) != rows  # keyed by the offsets too
+        assert walk_table(a.csr, offsets, 3) is rows  # two plans coexist
+        assert walk_table(b.csr, offsets, 3) is not rows  # another graph replaces it
+        assert walk_table(a.csr, offsets, 3) is not rows
+        assert walk_table(a.csr, offsets, 3) == rows
+
+    def test_memo_keeps_eight_offsets_tuples_per_graph(self):
+        """``Action.walk`` makes a fresh tuple from a list, so a program
+        that walks lists would add a tuple per walk; the oldest go."""
+        from repro.graphs import csr
+
+        g = gg.ring(12)
+        tuples = [tuple([1] * (10 + k)) for k in range(10)]
+        for t in tuples:
+            walk_table(g.csr, t, 0)
+        kept = [entry[0] for entry in csr._walk_tables[1].values()]
+        assert kept == tuples[2:]

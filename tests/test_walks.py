@@ -27,7 +27,9 @@ from repro.core.proglets import highest_free_label
 from repro.core.uxs_gathering import uxs_gathering_program
 from repro.ext.crash_faults import crash_at
 from repro.ext.faults import FaultPlan
+from repro.graphs import csr as csr_mod
 from repro.graphs import generators as gg
+from repro.runtime import graph_cache
 from repro.sim.actions import Action
 from repro.sim.activation import build_activation
 from repro.sim.engines import get_engine
@@ -330,3 +332,127 @@ def test_hand_back_points_match_the_oracle(engine, make_fleet):
     assert want[1]["stats"][4]["woke_at"] == 20
     assert want[1]["stats"][5]["handbacks"]
     assert outcome(engine, graph, make_fleet()) == want
+
+
+# ---------------------------------------------------------------------------
+# Walk stretches read trajectory rows (repro.graphs.csr.walk_table)
+# ---------------------------------------------------------------------------
+
+
+def _late_walker(offsets, wait):
+    """Sleeps until round ``wait``, then walks ``offsets`` like
+    :func:`_logging_walker`."""
+    walker = _logging_walker(offsets)
+
+    def factory(ctx):
+        def program():
+            obs = yield
+            obs = yield Action.sleep(wait)
+            inner = walker(ctx)
+            next(inner)
+            action = inner.send(obs)
+            while True:
+                obs = yield action
+                action = inner.send(obs)
+
+        return program()
+
+    return factory
+
+
+def _detour_walker(offsets):
+    """Walks ``offsets``; at each hand-back that finds company it first
+    steps out through port 0, then resumes the walk from there."""
+
+    def factory(ctx):
+        def program():
+            obs = yield
+            log = ctx.stats.setdefault("handbacks", [])
+            walk = Action.walk(offsets)
+            while walk.steps < len(offsets):
+                obs = yield walk
+                log.append((obs.round, walk.steps, tuple(c["id"] for c in obs.cards)))
+                if len(obs.cards) > 1:
+                    obs = yield Action.move(0)
+            yield Action.terminate()
+
+        return program()
+
+    return factory
+
+
+def _large_ring_fleet():
+    """Two walkers go round ring(300) (node ids past 255: two-byte rows)
+    towards each other, past a meet-sleeper; a timed sleeper wakes at
+    round 20, in the middle of the first stretch."""
+    return [
+        RobotSpec(label=3, start=200, factory=_meet_sleeper),
+        RobotSpec(label=4, start=100, factory=_timed_sleeper),
+        RobotSpec(label=5, start=0, factory=_logging_walker((1,) * 700)),
+        RobotSpec(label=6, start=150, factory=_logging_walker((0,) + (1,) * 699)),
+    ]
+
+
+def _two_plans_fleet():
+    """ring(16): label 3 walks one offsets tuple from node 0 and stops on
+    node 8; label 4 waits on node 0 and then walks another tuple from
+    there, one whose first six steps are the first tuple's."""
+    return [
+        RobotSpec(label=3, start=0, factory=_logging_walker((1,) * 40)),
+        RobotSpec(label=4, start=0, factory=_late_walker((1,) * 6 + (0,) + (1,) * 33, 60)),
+    ]
+
+
+def _detour_fleet():
+    return [
+        RobotSpec(label=2, start=3, factory=_terminates_now),
+        RobotSpec(label=5, start=0, factory=_detour_walker((1,) * 30)),
+    ]
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_two_walkers_and_sleepers_on_a_ring_of_300(engine):
+    graph = gg.ring(300)
+    want = outcome("reference", graph, _large_ring_fleet())
+    assert want[0] == "ran" and want[1]["stats"][3]["woke_at"] < 700
+    assert len(want[1]["stats"][5]["handbacks"]) > 2
+    assert outcome(engine, graph, _large_ring_fleet()) == want
+    if engine == "soa":
+        tables = csr_mod._walk_tables
+        assert tables[0] is graph.csr
+        rows = [rows for _, starts in tables[1].values() for rows in starts.values()]
+        assert rows and all(r.typecode == "H" for pair in rows for r in pair)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_two_offsets_tuples_on_one_graph(engine):
+    """Both walks start on node 0; rows keyed by the start alone would
+    hand label 4 the rows of label 3's walk (the memo starts empty)."""
+    graph_cache.clear()
+    graph = gg.ring(16)
+    want = outcome("reference", graph, _two_plans_fleet())
+    assert want[0] == "ran"
+    assert outcome(engine, graph, _two_plans_fleet()) == want
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_back_to_back_runs_on_two_graphs(engine):
+    """ring(16), then ring(12), then the same ring(16) again: each run
+    replaces the previous graph's rows.  The walks from node 0 agree on
+    both rings for their first eleven steps (the memo starts empty)."""
+    graph_cache.clear()
+    first, second = gg.ring(16), gg.ring(12)
+    for graph in (first, second, first):
+        want = outcome("reference", graph, _two_plans_fleet())
+        assert want[0] == "ran"
+        assert outcome(engine, graph, _two_plans_fleet()) == want
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_walk_resumed_off_its_row(engine):
+    """A program that moves between a hand-back and the resume takes the
+    walk on from where it stands, not from the walk's row."""
+    graph = gg.ring(10)
+    want = outcome("reference", graph, _detour_fleet())
+    assert want[0] == "ran" and len(want[1]["stats"][5]["handbacks"]) > 1
+    assert outcome(engine, graph, _detour_fleet()) == want
