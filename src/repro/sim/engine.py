@@ -1,14 +1,12 @@
 """The engine protocol: one simulation contract, N interchangeable backends.
 
-Four execution paths grew up in this repository — the seed
+Three execution paths grew up in this repository — the seed
 :class:`~repro.sim.reference.ReferenceScheduler` (the executable spec), the
-per-round driver that the ``incremental`` backend pins and the
-struct-of-arrays hot loop (both inside
-:class:`~repro.sim.scheduler.Scheduler`, on the same arrays and action
-helpers), and the lockstep replica engine
-(:class:`~repro.sim.batch.ReplicaBatch`).  This module defines the contract
-they all satisfy, so call sites select a backend by *name* instead of
-hard-coding a class:
+struct-of-arrays loop of :class:`~repro.sim.scheduler.Scheduler` (one frame
+per run, or one per round under the ``incremental`` pin), and the lockstep
+replica engine (:class:`~repro.sim.batch.ReplicaBatch`).  This module
+defines the contract they all satisfy, so call sites select a backend by
+*name* instead of hard-coding a class:
 
 * :class:`EngineRequest` — everything one run needs: the graph, the robot
   fleet, and the optional instrumentation (trace / replay / activation).

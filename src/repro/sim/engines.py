@@ -6,8 +6,8 @@ Every execution path in the repository registers here under a stable name:
 name          implementation                                             notes
 ============= ========================================================== =====
 reference     :class:`~repro.sim.reference.ReferenceScheduler`           the executable spec; the conformance oracle
-incremental   ``Scheduler`` pinned to the per-round driver               every action through the cold helpers, no SoA rounds
-soa           :class:`~repro.sim.scheduler.Scheduler` (default)          SoA loop; per-round driver when traced/activation
+incremental   ``Scheduler`` pinned to per-round stepping                 one SoA frame per round
+soa           :class:`~repro.sim.scheduler.Scheduler` (default)          SoA loop, one frame per run
 batch-list    :class:`~repro.sim.batch.ReplicaBatch` (list backend)      lockstep replicas, pure-Python bookkeeping
 batch-numpy   :class:`~repro.sim.batch.ReplicaBatch` (numpy backend)     lockstep replicas, vectorized bookkeeping
 batch-numpy2d :class:`~repro.sim.batch2d.Replica2DBatch`                 replica-major 2D kernels + scalar fallback
@@ -104,14 +104,14 @@ def list_engines() -> List[str]:
 
 
 class IncrementalScheduler(Scheduler):
-    """``Scheduler`` pinned to the per-round driver (``_step_general``).
+    """``Scheduler`` pinned to per-round stepping (``_step_general``).
 
-    ``_uses_soa = False`` sends every round through ``_step`` onto the
-    per-round driver, never into the SoA loop, so every action kind goes
-    through the cold helpers the SoA loop keeps for rare actions.
-    Semantics are those of the full scheduler.  The name is older than
-    the driver; the backend stays registered because its conformance ids
-    check those helpers against the seed on untraced synchronous runs.
+    ``_uses_soa = False`` sends every round through ``_step``, which runs
+    one SoA frame per round or jump instead of one per run.  Semantics
+    are those of the full scheduler.  The name is older than this pin;
+    the backend stays registered because its conformance ids check,
+    against the seed, that a frame hands the run over intact at every
+    round.
     """
 
     _uses_soa = False
@@ -182,7 +182,7 @@ class ReferenceEngine(_SchedulerEngine):
 
 @register_engine
 class IncrementalEngine(_SchedulerEngine):
-    """The per-round driver, pinned for every round (see
+    """The scheduler, one SoA frame per round (see
     :class:`IncrementalScheduler`)."""
 
     name = "incremental"
@@ -194,8 +194,8 @@ class IncrementalEngine(_SchedulerEngine):
 
 @register_engine
 class SoAEngine(_SchedulerEngine):
-    """The default scheduler: the SoA loop, or the per-round driver for
-    traced and activation-model runs."""
+    """The default scheduler: the SoA loop, one frame per run, traced and
+    activation-model runs included."""
 
     name = "soa"
     capabilities = EngineCapabilities(

@@ -131,15 +131,15 @@ STATUS_NAMES = {ACTIVE: "active", SLEEPING: "sleeping", FOLLOWING: "following", 
 class RobotState:
     """Scheduler-side mutable state of one robot (not robot-visible).
 
-    In :class:`~repro.sim.scheduler.Scheduler` (both its SoA loop and its
-    per-round driver) the hot fields — ``node``, ``entry_port``,
-    ``moves``, ``active_rounds`` — live in the scheduler's flat arrays,
-    and these attributes are synchronized only at run boundaries and on
-    an engine's ``sync_state``.  Mid-run introspection goes through
-    ``Scheduler.positions()``; after ``run()`` returns (and throughout the
-    seed :class:`~repro.sim.reference.ReferenceScheduler`) the attributes
-    are authoritative.  Cold fields (``status``, ``wake_round``, ``card``,
-    follow bookkeeping) are authoritative at all times.
+    In :class:`~repro.sim.scheduler.Scheduler` the hot fields — ``node``,
+    ``entry_port``, ``moves``, ``active_rounds`` — live in the scheduler's
+    flat arrays, and these attributes are synchronized only at run
+    boundaries and on an engine's ``sync_state``.  Mid-run introspection
+    goes through ``Scheduler.positions()``; after ``run()`` returns (and
+    throughout the seed :class:`~repro.sim.reference.ReferenceScheduler`)
+    the attributes are authoritative.  Cold fields (``status``,
+    ``wake_round``, ``card``, follow bookkeeping) are authoritative at all
+    times.
     """
 
     __slots__ = (

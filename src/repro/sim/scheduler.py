@@ -42,68 +42,68 @@ Plain lists are deliberately chosen over ``array``/numpy: indexing an
 ``array('l')`` boxes a fresh int per read, and numpy cannot help a loop
 that must call a Python generator per element (see ``docs/PERF.md``).
 
-The regime is fixed when a scheduler is built, and two regimes share
-those arrays:
+Every round of every run is one round of the **SoA loop**
+(:meth:`_step_soa`).  One call runs due wake-ups, fast-forward jumps and
+rounds in a single frame: ``run`` makes one call per run, ``_step`` one
+call per round (``_step_soa(self.round + 1)``; a class that sets
+``_uses_soa = False`` makes it through :meth:`_step_general`), and the
+batch engine one call per lockstep turn.  The frame binds the CSR and
+the arrays once, keeps the round counter, the occupancy snapshot and the
+deferred counters in locals, reuses its scratch lists across rounds, and
+caches the all-gathered card tuple until the next cold action.  It
+applies moves *inline* during the observation sweep (legal because an
+observation depends on other robots only through start-of-round
+occupancy, which is read from pre-round state), detects co-location
+with one C-level ``set(pos)`` per round instead of per-move occupancy
+bookkeeping, and resolves the dominant "one shared node" case with a
+closed-form duplicate extraction (``sum(pos) - sum(prev_pos_set)``).
+Rare action kinds (sleep/persistent follow/terminate/cards) drop into
+cold helpers that reconstruct whatever the inline sweep skipped.  The
+sweep dispatches a card-less ``follow_once`` itself; after the sweep
+each such follower takes its leader's port, read off the reverse of the
+leader's entry edge (exact: port graphs have no self-loops), unless the
+round's follows chain or persistent followers exist.  While persistent
+followers or ``wake_on_meet`` sleepers exist, the sweep records its
+movers from round start: persistent followers then *ride* their
+leader's move through a cached, label-sorted list of each leader's
+transitive followers (its **riders**, rebuilt only when the
+leader->followers index changes), and the round's arrivals are tested
+against a cached set of the meet-sleepers' nodes (dropped whenever the
+meet-sleeper count changes); only a hit scans the robots and flags every
+meet-sleeper on a node that received an arrival to wake.  A declared
+walk (:meth:`Action.walk`) takes its first step where it is yielded and
+then swaps the robot's ``_sends`` entry for a cursor (:class:`_Walker`)
+that returns the next move while the cards match and hands back to the
+program otherwise; only the seed scheduler expands walks into per-round
+moves (:func:`~repro.sim.robot.expand_walks`).  When every active robot
+is a walker, whole stretches of rounds run in :meth:`_soa_walk_stretch`
+without an observation, a send or a step: a search over the walks'
+trajectory rows (:func:`~repro.graphs.csr.walk_table`) finds where the
+stretch ends.
 
-* the **SoA loop** (:meth:`_step_soa`) runs every run except traced runs,
-  activation-model runs and runs of a class that sets ``_uses_soa =
-  False`` (the seed scheduler and the ``incremental`` pin).  One call runs
-  due wake-ups, fast-forward jumps and rounds in a single frame: ``run``
-  makes one call per run, ``_step`` one call per round
-  (``_step_soa(self.round + 1)``), and the batch engine one call per
-  lockstep turn.  The frame binds the CSR and the
-  arrays once, keeps the round counter, the occupancy snapshot and the
-  deferred counters in locals, reuses its scratch lists across rounds,
-  and caches the all-gathered card tuple until the next cold action.  It
-  applies moves *inline* during the observation sweep (legal because an
-  observation depends on other robots only through start-of-round
-  occupancy, which is read from pre-round state), detects co-location
-  with one C-level ``set(pos)`` per round instead of per-move occupancy
-  bookkeeping, and resolves the dominant "one shared node" case with a
-  closed-form duplicate extraction (``sum(pos) - sum(prev_pos_set)``).
-  Rare action kinds (sleep/persistent follow/terminate/cards) drop into
-  cold helpers that reconstruct whatever the inline sweep skipped.  The
-  sweep dispatches a card-less ``follow_once`` itself; after the sweep
-  each such follower takes its leader's port, read off the reverse of the
-  leader's entry edge (exact: port graphs have no self-loops), unless the
-  round's follows chain or persistent followers exist.  While persistent
-  followers or ``wake_on_meet`` sleepers exist, the sweep records its
-  movers from round start: persistent followers then *ride* their
-  leader's move through a cached, label-sorted list of each leader's
-  transitive followers (its **riders**, rebuilt only when the
-  leader->followers index changes), and the round's arrivals are tested
-  against a cached set of the meet-sleepers' nodes (dropped whenever the
-  meet-sleeper count changes); only a hit scans the robots and flags every
-  meet-sleeper on a node that received an arrival to wake.  A declared
-  walk (:meth:`Action.walk`) takes its first step where it is yielded and
-  then swaps the robot's ``_sends`` entry for a cursor (:class:`_Walker`)
-  that returns the next move while the cards match and hands back to the
-  program otherwise.  When every active robot is a walker, whole stretches
-  of rounds run in :meth:`_soa_walk_stretch` without an observation, a
-  send or a step: a search over the walks' trajectory rows
-  (:func:`~repro.graphs.csr.walk_table`) finds where the stretch ends.
-* the **per-round driver** (:meth:`_step_general`) runs every other run,
-  one ``_step`` per round, over the same arrays: the activation model (if
-  any) picks who acts, every action goes through :meth:`_soa_cold`,
-  follows through :meth:`_soa_resolve_follows` and meet-sleeper wakes
-  through :meth:`_soa_wake_meet`, so each action rule has one copy.  It
-  runs declared walks through the same :class:`_Walker`; only the seed
-  scheduler expands them into per-round moves
-  (:func:`~repro.sim.robot.expand_walks`).
+Three hooks run once per round, never once per robot:
 
-In both regimes the arrays are authoritative, and ``RobotState``
-attributes are synchronized with them only at run boundaries
-(``_sync_states``); the seed scheduler keeps its own state on the
-attributes.
+* **Activation models** (:mod:`repro.sim.activation`) weaken the
+  synchronous discipline: one ``model.select`` call per round
+  (:meth:`_select`) picks the robots the sweep activates, and only those
+  gain an active round.  ``activation=None`` (the default) skips the
+  policy entirely and defers the active-round increments.
+* **Tracing**: a traced run records its movers from round start and its
+  follower arrivals, and records the round's ``move`` events once its
+  follows resolve, in the seed's order (movers, then followers, each in
+  label order), from a ``finally``, so the followers applied before an
+  invalid inherited port raises stay in the trace.  The cold helpers
+  record every other event.
+* **The walk stretch** is off under tracing, replay and an activation
+  model, which observe every round.
+
+The arrays are authoritative, and ``RobotState`` attributes are
+synchronized with them only at run boundaries (``_sync_states``); the
+seed scheduler keeps its own state on the attributes.
 Wake-ups are driven by a precomputed **wake schedule** — a min-heap of
 ``(wake_round, rid)`` pushed at sleep/follow time — so rounds where nobody
 is due skip the per-robot wake scan entirely, and fast-forward jumps read
 the next wake round from the heap top.
-
-Activation models (:mod:`repro.sim.activation`) weaken the synchronous
-discipline: when one is installed, the due-robot list is filtered through
-``model.select`` before observation.  ``activation=None`` (the default)
-skips the policy entirely, preserving the pinned synchronous semantics.
 """
 
 from __future__ import annotations
@@ -146,12 +146,11 @@ __all__ = ["Scheduler"]
 class Scheduler:
     """Drives a set of robot programs on a port graph until all terminate."""
 
-    #: Whether runs of this class may take the struct-of-arrays loop.
-    #: Subclasses that set it to ``False`` step every round through
-    #: ``_step``: the seed :class:`~repro.sim.reference.ReferenceScheduler`,
-    #: which overrides ``_step`` with its own state, and the ``incremental``
-    #: engine backend (:mod:`repro.sim.engines`), which pins the per-round
-    #: driver for differential testing.
+    #: Whether ``run`` runs a whole run in one SoA frame.  Subclasses that
+    #: set it to ``False`` step every round through ``_step``: the seed
+    #: :class:`~repro.sim.reference.ReferenceScheduler`, which overrides
+    #: ``_step`` with its own state, and the ``incremental`` engine backend
+    #: (:mod:`repro.sim.engines`), which runs one frame per round.
     _uses_soa = True
 
     def __init__(
@@ -189,10 +188,6 @@ class Scheduler:
         self.metrics = RunMetrics()
 
         self._csr = graph.csr
-        # The regime is fixed for the whole run: the SoA loop, unless the
-        # class pins the per-round driver or the run is traced or has an
-        # activation model.  Both regimes run on the arrays below.
-        self._soa = type(self)._uses_soa and trace is None and activation is None
         # set by run(): whether the SoA loop returns at the first gathering
         self._stop_on_gather = False
 
@@ -276,7 +271,7 @@ class Scheduler:
 
     def all_gathered(self) -> bool:
         """O(1) counter check: are all robots on one node?"""
-        # _occupied is maintained by both regimes; == 1 iff co-located
+        # _occupied is maintained by the SoA loop; == 1 iff co-located
         return self._occupied == 1
 
     # ------------------------------------------------------------------
@@ -314,9 +309,9 @@ class Scheduler:
         co-located — the measurement hook for detection-free baselines, which
         otherwise never halt.
 
-        An SoA-regime run makes one :meth:`_step_soa` call, which returns
-        exactly when one of the loop's gates below would fire; every other
-        run makes one :meth:`_step` call per round.
+        A run makes one :meth:`_step_soa` call, which returns exactly when
+        one of the loop's gates below would fire; a class that sets
+        ``_uses_soa = False`` makes one :meth:`_step` call per round.
         """
         self._stop_on_gather = stop_on_gather
         while not self.all_terminated():
@@ -324,7 +319,7 @@ class Scheduler:
                 break
             if self.round > max_rounds:
                 raise self._timeout_error()
-            if self._soa:
+            if self._uses_soa:
                 self._step_soa(max_rounds + 1)
             else:
                 self._step()
@@ -361,18 +356,16 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Wake machinery (the precomputed wake schedule)
     # ------------------------------------------------------------------
-    def _wake_due(self) -> List[int]:
-        """Apply due wake-ups; return the label-ordered active rid list.
+    def _wake_due(self) -> None:
+        """Apply due wake-ups, inserting each woken rid into ``_active``.
 
         Driven by the wake-schedule heap plus the woken-early list instead
-        of a per-robot scan: a round with nothing due returns the
-        maintained ``_active`` list after two O(1) checks.
+        of a per-robot scan; the SoA loop calls it only when either has
+        something due.
         """
         rnd = self.round
         heap = self._wake_heap
         woken = self._woken
-        if not woken and (not heap or heap[0][0] > rnd):
-            return self._active
         robots = self.robots
         due_from_heap = set()
         while heap and heap[0][0] <= rnd:
@@ -393,7 +386,7 @@ class Scheduler:
                     due.add(rid)
             woken.clear()  # in place: the SoA loop holds a binding
         if not due:
-            return self._active
+            return
         self._flush_ar()
         trace = self.trace
         active = self._active
@@ -420,7 +413,6 @@ class Scheduler:
                 r.woken_early = False
                 r.wake_round = None
                 insort(active, rid)
-        return active
 
     def _next_wake_round(self) -> Optional[int]:
         """Earliest scheduled wake round, from the wake-schedule heap."""
@@ -455,14 +447,19 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _step(self) -> None:
         """Execute one round, or one fast-forward jump."""
-        if self._soa:
+        if self._uses_soa:
             self._step_soa(self.round + 1)
-            return
-        active_rids = self._wake_due()
-        if active_rids:
-            self._step_general(active_rids)
         else:
-            self._fast_forward()
+            self._step_general(self.round + 1)
+
+    def _step_general(self, stop_round: int) -> None:
+        """One ``_step`` of a class pinned to per-round stepping: an SoA
+        frame that stops at ``stop_round``, after one round or jump.
+
+        Kept apart from :meth:`_step` because perfbench's tracer wraps
+        ``Scheduler._step_general`` by name to count these steps.
+        """
+        self._step_soa(stop_round)
 
     # ------------------------------------------------------------------
     # The SoA loop
@@ -498,6 +495,10 @@ class Scheduler:
         strict = self.strict
         metrics = self.metrics
         replay = self.replay
+        trace = self.trace
+        activation = self.activation
+        # the walk stretch skips rounds that these observe one by one
+        stretch = replay is None and trace is None and activation is None
         stop_on_gather = self._stop_on_gather
         first_gather = metrics.first_gather_round
         # Per-round state lives in locals for the frame.  ``finally`` writes
@@ -540,12 +541,11 @@ class Scheduler:
                     continue
 
                 # --- only walkers act: run the stretch without the sweep
-                # (off under replay, which snapshots every round, and
-                # while the first gathering is still to be recorded)
+                # (not while the first gathering is still to be recorded)
                 if (
                     walkers
                     and len(walkers) == len(active)
-                    and replay is None
+                    and stretch
                     and (first_gather is not None or occupied != 1)
                 ):
                     m = self._soa_walk_stretch(rnd, stop_round, posset)
@@ -604,21 +604,25 @@ class Scheduler:
                             shared[node] = tuple(own[q][0] for q in rids)
                         t += 1
 
-                # Riders and meet-sleeper wakes need this round's movers.
-                # The sweep records them from round start while followers
-                # or meet-sleepers exist; otherwise a persistent follow or
-                # meet-sleep appearing mid-sweep reconstructs them from the
-                # pre-round positions (port graphs have no self-loops, so
-                # "position changed" <=> "moved", and the reverse of the
-                # entry edge gives the departure port).  One-round follows
-                # need no movers: each follower reads its leader's port the
-                # same way.
+                # Riders, meet-sleeper wakes and traces need this round's
+                # movers.  The sweep records them from round start while
+                # followers or meet-sleepers exist or the run is traced;
+                # otherwise a persistent follow or meet-sleep appearing
+                # mid-sweep reconstructs them from the pre-round positions
+                # (port graphs have no self-loops, so "position changed"
+                # <=> "moved", and the reverse of the entry edge gives the
+                # departure port).  One-round follows need no movers: each
+                # follower reads its leader's port the same way.
                 prev_pos[:] = pos
-                pend += 1
-                track = True if followers_of else self._meet_sleepers > 0
+                if activation is None:
+                    acting = active
+                    pend += 1
+                else:
+                    acting = self._select(active, rnd)
+                track = True if followers_of or trace is not None else self._meet_sleepers > 0
                 cold = False
                 try:
-                    for i in active:
+                    for i in acting:
                         node = pos[i]
                         ob = obs_l[i]
                         ob.round = rnd
@@ -711,66 +715,74 @@ class Scheduler:
                 # lacks).  Chained one-round follows, one-round follows next
                 # to persistent followers, and several rider carriers take
                 # the full propagation.
-                if followers_once:
-                    if followers_of or not set(followers_once).isdisjoint(once_leaders):
-                        if not track:
-                            self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
-                        self._soa_resolve_follows(
-                            movers_i, movers_p, followers_once, once_leaders
-                        )
-                    else:
-                        meet = self._meet_sleepers
-                        for f, l in zip(followers_once, once_leaders):
-                            node = pos[l]
-                            if node == prev_pos[l]:
-                                continue  # the leader did not move
-                            p = ent[row[node] + entry[l]]
-                            node = pos[f]
-                            if not 0 <= p < deg[node]:
-                                raise PortGraphError(
-                                    f"node {node} has degree {deg[node]}; port {p} is invalid"
-                                )
-                            j = row[node] + p
-                            pos[f] = nbr[j]
-                            entry[f] = ent[j]
-                            mvs[f] += 1
-                            if meet:
-                                movers_i.append(f)
-                                movers_p.append(p)
-                    followers_once.clear()
-                    once_leaders.clear()
-                elif followers_of and movers_i:
-                    riders = self._riders
-                    if riders is None:
-                        riders = self._build_riders()
-                    group = None
-                    if len(movers_i) == 1:  # a lone leader: no scan
-                        group = riders.get(movers_i[0])
-                        p = movers_p[0]
-                    else:
-                        carriers = [k for k, i in enumerate(movers_i) if i in riders]
-                        if len(carriers) == 1:
-                            k = carriers[0]
-                            group = riders[movers_i[k]]
-                            p = movers_p[k]
-                        elif carriers:
-                            self._soa_resolve_follows(movers_i, movers_p, (), ())
-                    if group is not None:
-                        # rider arrivals matter only to meet-sleepers
-                        meet = self._meet_sleepers
-                        for f in group:
-                            node = pos[f]
-                            if not 0 <= p < deg[node]:
-                                raise PortGraphError(
-                                    f"node {node} has degree {deg[node]}; port {p} is invalid"
-                                )
-                            j = row[node] + p
-                            pos[f] = nbr[j]
-                            entry[f] = ent[j]
-                            mvs[f] += 1
-                            if meet:
-                                movers_i.append(f)
-                                movers_p.append(p)
+                try:
+                    if followers_once:
+                        if followers_of or not set(followers_once).isdisjoint(once_leaders):
+                            if not track:
+                                self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
+                            self._soa_resolve_follows(
+                                movers_i, movers_p, followers_once, once_leaders
+                            )
+                        else:
+                            meet = trace is not None or self._meet_sleepers
+                            for f, l in zip(followers_once, once_leaders):
+                                node = pos[l]
+                                if node == prev_pos[l]:
+                                    continue  # the leader did not move
+                                p = ent[row[node] + entry[l]]
+                                node = pos[f]
+                                if not 0 <= p < deg[node]:
+                                    raise PortGraphError(
+                                        f"node {node} has degree {deg[node]}; port {p} is invalid"
+                                    )
+                                j = row[node] + p
+                                pos[f] = nbr[j]
+                                entry[f] = ent[j]
+                                mvs[f] += 1
+                                if meet:
+                                    movers_i.append(f)
+                                    movers_p.append(p)
+                        followers_once.clear()
+                        once_leaders.clear()
+                    elif followers_of and movers_i:
+                        riders = self._riders
+                        if riders is None:
+                            riders = self._build_riders()
+                        group = None
+                        if len(movers_i) == 1:  # a lone leader: no scan
+                            group = riders.get(movers_i[0])
+                            p = movers_p[0]
+                        else:
+                            carriers = [k for k, i in enumerate(movers_i) if i in riders]
+                            if len(carriers) == 1:
+                                k = carriers[0]
+                                group = riders[movers_i[k]]
+                                p = movers_p[k]
+                            elif carriers:
+                                self._soa_resolve_follows(movers_i, movers_p, (), ())
+                        if group is not None:
+                            # rider arrivals matter only to meet-sleepers
+                            # and traces
+                            meet = trace is not None or self._meet_sleepers
+                            for f in group:
+                                node = pos[f]
+                                if not 0 <= p < deg[node]:
+                                    raise PortGraphError(
+                                        f"node {node} has degree {deg[node]}; port {p} is invalid"
+                                    )
+                                j = row[node] + p
+                                pos[f] = nbr[j]
+                                entry[f] = ent[j]
+                                mvs[f] += 1
+                                if meet:
+                                    movers_i.append(f)
+                                    movers_p.append(p)
+                finally:
+                    # the seed records each move as it applies it, so the
+                    # followers applied before an invalid port raises stay
+                    if trace is not None:
+                        for i, p in zip(movers_i, movers_p):
+                            trace.record(rnd, "move", labels[i], (p, entry[i]))
 
                 # --- commit occupancy, wake meet-sleepers ---------------
                 # Arrivals are tested against the meet-sleepers' nodes;
@@ -823,9 +835,9 @@ class Scheduler:
             self._ar_pending += pend
             metrics.rounds_executed += executed
 
-    # -- cold paths: the SoA loop's rare actions, every per-round action --
+    # -- cold paths: the SoA loop's rare actions -------------------------
     def _soa_publish(self, i: int, action: Action) -> None:
-        """Card publication, in both regimes: facade + own-tuple update.
+        """Card publication: facade + own-tuple update.
 
         Updating ``own`` mid-sweep is safe: the publisher's own
         observation already happened, any co-located robot's card tuple
@@ -898,15 +910,14 @@ class Scheduler:
     ) -> bool:
         """Everything the hot loop's dispatch does not cover: card/note-
         carrying actions, sleeps, persistent follows, terminates, the first
-        step of a walk -- and every action of the per-round driver.
+        step of a walk.
 
         Returns the (possibly enabled) mover-tracking flag: persistent
         follows and meet-sleeps need this round's movers, so if tracking is off
         when one appears, the movers applied so far are reconstructed and
-        tracking stays on for the rest of the sweep.  A traced run (always
-        the per-round driver) records ``note``, ``sleep`` and ``follow``
-        events here; its ``move`` events are recorded after the round's
-        follows resolve.
+        tracking stays on for the rest of the sweep.  A traced run records
+        ``note``, ``sleep`` and ``follow`` events here; its ``move`` events
+        are recorded after the round's follows resolve.
         """
         r = self.robots[i]
         if action.card is not None:
@@ -1153,7 +1164,7 @@ class Scheduler:
         followers_once: Sequence[int],
         once_leaders: Sequence[int],
     ) -> None:
-        """Follow resolution + application, in both regimes.
+        """Follow resolution + application.
 
         Iterative forward propagation from this round's movers over the
         leader->followers index: chains ending in a mover inherit its port;
@@ -1228,121 +1239,27 @@ class Scheduler:
                 r.woken_early = True
                 woken.append(r.rid)
 
-    # ------------------------------------------------------------------
-    # The per-round driver
-    # ------------------------------------------------------------------
-    def _step_general(self, active_rids: List[int]) -> None:
-        """Execute one round on the arrays, every action through the cold
-        helpers.
+    def _select(self, active: List[int], rnd: int) -> List[int]:
+        """The rids the activation model picks to act this round, in label
+        order; each gains its active round here.
 
-        Runs traced runs, activation-model runs and the ``incremental``
-        pin.  The sweep applies each move where it is yielded, as the SoA
-        loop does; observations read the start-of-round card snapshot, and
-        sleeps and follows leave ``_active`` after the sweep, which
-        iterates it.  A traced round records its ``move`` events once its
-        follows resolve, in the seed's order: this round's movers in label
-        order, then the followers in label order, including those applied
-        before an invalid inherited port raises.  The name is older than
-        this driver and stays because perfbench's tracer wraps
-        ``Scheduler._step_general`` to count the rounds run here.
+        Robots not selected stay awake and unobserved until a later round.
+        A model that selects nobody while robots are due would stall the
+        run forever, so that contract violation is rejected.
         """
-        rnd = self.round
-        robots = self.robots
         activation = self.activation
-        if activation is None:
-            acting = active_rids
-        else:
-            # robots not selected stay awake and unobserved until a later
-            # round; a model that selects nobody while robots are due would
-            # stall the run forever, so that contract violation is rejected
-            selected = activation.select([robots[i] for i in active_rids], rnd)
-            if not selected:
-                raise ProtocolViolation(
-                    f"activation model {activation.describe()!r} selected "
-                    f"no robot at round {rnd} with {len(active_rids)} due"
-                )
-            acting = [r.rid for r in selected]
-        pos = self._pos
-        own = self._own
-        # start-of-round cards: the label-ordered tuple of every shared
-        # node; a robot alone on its node reads its own 1-tuple, which only
-        # it replaces, after its observation
-        cards_at: Optional[Dict[int, Tuple[dict, ...]]] = None
-        if self._occupied != self._nrob:
-            cards_at = {}
-            for i, node in enumerate(pos):
-                cards = cards_at.get(node)
-                cards_at[node] = own[i] if cards is None else cards + own[i]
-        entry = self._entry
+        robots = self.robots
+        selected = activation.select([robots[i] for i in active], rnd)
+        if not selected:
+            raise ProtocolViolation(
+                f"activation model {activation.describe()!r} selected "
+                f"no robot at round {rnd} with {len(active)} due"
+            )
+        acting = [r.rid for r in selected]
         ar = self._ar
-        sends = self._sends
-        obs_l = self._obs
-        labels = self._labels
-        deg = self._csr.degree
-        prev_pos = pos[:]
-        movers_i: List[int] = []
-        movers_p: List[int] = []
-        terminators: List[int] = []
-        followers_once: List[int] = []
-        once_leaders: List[int] = []
-        deactivated: List[int] = []
-        try:
-            for i in acting:  # label order
-                node = pos[i]
-                ob = obs_l[i]
-                ob.round = rnd
-                ob.degree = deg[node]
-                ob.entry_port = entry[i]
-                ob.cards = own[i] if cards_at is None else cards_at[node]
-                ar[i] += 1
-                try:
-                    action = sends[i](ob)
-                except StopIteration:
-                    raise ProtocolViolation(
-                        f"robot {labels[i]}: program returned without terminating"
-                    ) from None
-                if action is None:
-                    raise ProtocolViolation(
-                        f"robot {labels[i]}: yielded None instead of an Action"
-                    )
-                self._soa_cold(
-                    i, action, rnd, True,
-                    movers_i, movers_p, terminators,
-                    followers_once, once_leaders,
-                    deactivated, prev_pos,
-                )
-        except BaseException:
-            self._undo_sweep_moves(prev_pos)
-            raise
-        for i in deactivated:
-            self._active.remove(i)
-
-        trace = self.trace
-        try:
-            if followers_once or self._followers_of:
-                self._soa_resolve_follows(
-                    movers_i, movers_p, followers_once, once_leaders
-                )
-        finally:
-            if trace is not None:
-                for i, p in zip(movers_i, movers_p):
-                    trace.record(rnd, "move", labels[i], (p, entry[i]))
-
-        self._occupied = len(set(pos))
-        if movers_i and self._meet_sleepers:
-            self._soa_wake_meet(movers_i)
-        if terminators:
-            for i in terminators:
-                self._terminate(robots[i])
-            self._cascade_terminations()
-
-        metrics = self.metrics
-        if metrics.first_gather_round is None and self._occupied == 1:
-            metrics.first_gather_round = rnd
-        if self.replay is not None:
-            self.replay.snapshot(rnd, self.positions())
-        metrics.rounds_executed += 1
-        self.round = rnd + 1
+        for i in acting:
+            ar[i] += 1
+        return acting
 
     def _add_follower(self, r: RobotState, target: int) -> None:
         """Enter ``r`` into the reverse leader->followers index."""

@@ -32,14 +32,21 @@ from repro.graphs import generators as gg
 from repro.graphs.port_graph import PortGraphError
 from repro.runtime.spec import materialize
 from repro.scenarios import get_scenario, scenario_names
-from repro.sim.activation import SynchronousActivation, build_activation
+from repro.sim.activation import (
+    AdversarialActivation,
+    RoundRobinActivation,
+    SynchronousActivation,
+    build_activation,
+)
 from repro.sim.actions import Action
 from repro.sim.engines import IncrementalScheduler
 from repro.sim.errors import ProtocolViolation
 from repro.sim.reference import ReferenceScheduler
+from repro.sim.replay import ReplayRecorder
 from repro.sim.robot import RobotSpec
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecorder
+from repro.sim.world import DEFAULT_MAX_ROUNDS
 from tests.conftest import (
     fault_plan_strategy,
     follower_scripts,
@@ -128,12 +135,13 @@ def run_both_untraced(
     activation="sync",
     activation_args=None,
 ):
-    """Differential run with ``trace=None`` — the SoA hot-loop regime.
+    """Differential run with ``trace=None`` — the untraced SoA frame.
 
-    Tracing forces the per-round driver, so :func:`run_both` alone would
-    never execute the struct-of-arrays sweep; this variant compares everything
-    *except* traces (positions, round counter, statuses, full metrics).
-    Activation models are stateful, so each scheduler gets a fresh one.
+    A traced round tracks its movers from round start and runs no walk
+    stretch, so :func:`run_both` alone would never execute the untraced
+    sweep; this variant compares everything *except* traces (positions,
+    round counter, statuses, full metrics).  Activation models are
+    stateful, so each scheduler gets a fresh one.
     """
     digests = []
     for cls in (Scheduler, ReferenceWithActivation):
@@ -197,6 +205,50 @@ def test_matrix_faster(name, graph):
 
     fast = run_both(graph, make_specs)
     assert fast.all_terminated(), name
+
+
+_TRACED_REPLAYED_ALGORITHMS = [
+    ("faster", faster_gathering_program, dispersed_random, 3),
+    ("undispersed", undispersed_gathering_program, undispersed_placement, 4),
+    ("uxs", uxs_gathering_program, dispersed_random, 3),
+]
+_TRACED_REPLAYED_GRAPHS = [
+    ("ring8", gg.ring(8)),
+    ("path7", gg.path(7)),
+    ("star6", gg.star(6)),
+    ("er9", gg.erdos_renyi(9, seed=2)),
+]
+_TRACED_REPLAYED = [
+    (f"{aname}-{gname}", graph, factory_fn, place, k)
+    for aname, factory_fn, place, k in _TRACED_REPLAYED_ALGORITHMS
+    for gname, graph in _TRACED_REPLAYED_GRAPHS
+]
+
+
+@pytest.mark.parametrize(
+    "name,graph,factory_fn,place,k", _TRACED_REPLAYED, ids=[c[0] for c in _TRACED_REPLAYED]
+)
+def test_traced_and_replayed_in_one_run(name, graph, factory_fn, place, k):
+    """A run with a trace and a replay recorder at once: both hooks observe
+    every round, so the frame runs no walk stretch.  Events, replay
+    frames, the round counter, positions, statuses and metrics must equal
+    the seed's on the ``incremental`` pin and on ``Scheduler``."""
+    starts = place(graph, k, seed=45)
+    labels = assign_labels(k, graph.n, seed=45)
+    outcomes = []
+    for cls in (ReferenceScheduler, IncrementalScheduler, Scheduler):
+        trace, replay = TraceRecorder(), ReplayRecorder()
+        sched = cls(
+            graph,
+            [RobotSpec(label=l, start=s, factory=factory_fn()) for l, s in zip(labels, starts)],
+            trace=trace,
+            replay=replay,
+        )
+        sched.run(max_rounds=DEFAULT_MAX_ROUNDS)
+        assert sched.all_terminated(), (name, cls)
+        outcomes.append((trace.events, replay.frames, _state_digest(sched)))
+    assert outcomes[1] == outcomes[0], f"{name}: incremental"
+    assert outcomes[2] == outcomes[0], f"{name}: soa"
 
 
 # ---------------------------------------------------------------------------
@@ -579,26 +631,30 @@ def test_follower_scripts_untraced_bit_identical(graph_pick, scripts, data):
 # ---------------------------------------------------------------------------
 # Untraced differential: the SoA hot loop on real algorithms
 # ---------------------------------------------------------------------------
-# Tracing forces the per-round driver, so the matrix tests above never
-# execute the struct-of-arrays sweep; these repeat representative workloads with
-# trace=None and compare positions/statuses/round/metrics.
+# The matrix tests above are traced, and a traced round tracks its movers
+# from round start and runs no walk stretch; these repeat representative
+# workloads with trace=None, where movers are tracked only for followers and
+# meet-sleepers and walkers run whole stretches, and compare
+# positions/statuses/round/metrics.
 
 
 @pytest.fixture
 def general_steps(monkeypatch):
     """Rounds the optimized scheduler sent down ``_step_general``.
 
-    Untraced clean runs must stay on the SoA hot loop for every round —
-    Lemma-4 followers and ``wake_on_meet`` sleepers included — so the
-    matrix tests below pin this list empty.  (The seed scheduler overrides
-    ``_step`` wholesale and never reaches the spy.)
+    A ``Scheduler`` run is one SoA frame for every round — Lemma-4
+    followers, ``wake_on_meet`` sleepers, traces and activation models
+    included — so the tests below pin this list empty; only a class
+    pinned to per-round stepping (``IncrementalScheduler``) reaches the
+    spy.  (The seed scheduler overrides ``_step`` wholesale and never
+    reaches it.)
     """
     rounds = []
     step_general = Scheduler._step_general
 
-    def spy(self, active_rids):
+    def spy(self, stop_round):
         rounds.append(self.round)
-        return step_general(self, active_rids)
+        return step_general(self, stop_round)
 
     monkeypatch.setattr(Scheduler, "_step_general", spy)
     return rounds
@@ -655,10 +711,54 @@ def test_matrix_undispersed_untraced_soa(name, graph, general_steps):
     assert general_steps == [], name
 
 
+def _uxs_ring12_specs():
+    graph = gg.ring(12)
+    starts = dispersed_random(graph, 3, seed=43)
+    labels = assign_labels(3, graph.n, seed=43)
+    return graph, [
+        RobotSpec(label=l, start=s, factory=uxs_gathering_program())
+        for l, s in zip(labels, starts)
+    ]
+
+
+@pytest.mark.parametrize(
+    "instrument",
+    [
+        lambda: {"trace": TraceRecorder()},
+        lambda: {"activation": AdversarialActivation(budget=99)},
+        lambda: {"activation": RoundRobinActivation(groups=2)},
+    ],
+    ids=["traced", "adversarial_budget99", "round_robin_groups2"],
+)
+def test_traced_and_activation_runs_stay_in_one_frame(instrument, general_steps):
+    """Traced and activation-model runs on ``Scheduler`` run in the SoA
+    frame, like every other run, and never reach ``_step_general``."""
+    graph, specs = _uxs_ring12_specs()
+    sched = Scheduler(graph, specs, **instrument())
+    sched.run(max_rounds=DEFAULT_MAX_ROUNDS)
+    assert sched.all_terminated()
+    assert sched.metrics.rounds_executed > 0
+    assert general_steps == []
+
+
+def test_incremental_steps_through_step_general_once_per_step(general_steps):
+    """A traced ``IncrementalScheduler`` run makes one ``_step_general``
+    call per ``_step``: one per executed round and one per fast-forward
+    jump."""
+    graph, specs = _uxs_ring12_specs()
+    trace = TraceRecorder()
+    sched = IncrementalScheduler(graph, specs, trace=trace)
+    sched.run(max_rounds=DEFAULT_MAX_ROUNDS)
+    assert sched.all_terminated()
+    jumps = trace.of_kind("jump")
+    assert jumps
+    assert len(general_steps) == sched.metrics.rounds_executed + len(jumps)
+
+
 def test_follow_cascade_untraced_soa():
     """The SoA cold paths: follow mid-sweep (mover reconstruction),
-    cascade, woken-early bookkeeping — without a trace forcing the
-    general path."""
+    cascade, woken-early bookkeeping — without a trace, which would track
+    the movers from round start."""
     g = gg.ring(8)
 
     def leader(ctx):
@@ -1010,8 +1110,6 @@ def test_scenario_registry_differential(scenario_name):
                 for i, (l, s) in enumerate(zip(labels, starts))
             ]
 
-        from repro.sim.world import DEFAULT_MAX_ROUNDS
-
         fast = run_both_untraced(
             graph,
             make_specs,
@@ -1037,7 +1135,7 @@ def test_scenario_registry_differential(scenario_name):
 @settings(max_examples=scaled_examples(60), deadline=None)
 def test_fault_plans_bit_identical(graph_pick, scripts, plan_dict, data):
     """Crash/delay campaigns (program-level wrappers) stay bit-identical
-    across both schedulers — traced (general path) and untraced (SoA)."""
+    across both schedulers — traced and untraced."""
     graph = [gg.ring(6), gg.path(5), gg.star(6), gg.erdos_renyi(7, seed=3)][graph_pick]
     k = len(scripts)
     plan = FaultPlan.from_dict(

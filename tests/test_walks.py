@@ -2,7 +2,7 @@
 
 ``uxs_explore`` yields one :meth:`Action.walk` per exploration and the
 engines run it under the hand-back rule (:mod:`repro.sim.actions`): the
-``soa`` loop, the batch engines and the per-round driver natively, the
+SoA loop (``soa`` and ``incremental``) and the batch engines natively, the
 seed scheduler through :func:`repro.sim.robot.expand_walks`.  This module
 keeps the per-round exploration it replaced -- one yielded move per round,
 the merge rule after every move -- as the reference, patches it into
