@@ -1,4 +1,4 @@
-"""Replica-campaign benchmark: the lockstep batch engine vs the scalar loop.
+"""Replica-campaign benchmark: the replica batch engines vs the scalar loop.
 
 Measures **replicas per second** for multi-seed campaigns — R seed-replicas
 of one :class:`~repro.runtime.RunSpec` — executed two ways through the same
@@ -7,10 +7,10 @@ of one :class:`~repro.runtime.RunSpec` — executed two ways through the same
 * ``scalar`` — the per-replica loop (the default engine): every replica
   pays materialization, graph checks, scheduler construction, the full
   per-round loop, and record assembly on its own;
-* ``batch``  — the lockstep replica engine (``engine="batch-numpy"`` /
-  ``engine="batch-list"``): one shared graph + CSR kernel, graph-pure checks paid
-  once, each replica advanced by one ``Scheduler._step_soa`` call per
-  lockstep turn, and a per-graph BFS memo for the pair-distance column;
+* ``batch``  — the replica engine (``engine="batch-numpy"`` /
+  ``engine="batch-list"``): one shared graph + CSR kernel, graph-pure checks
+  paid once, each replica run through ``Scheduler.run``, and a per-graph
+  BFS memo for the pair-distance column;
 * ``numpy2d`` — the replica-major engine (``engine="batch-numpy2d"``):
   the probe program is a :class:`~repro.sim.vector.VectorProgram`, so
   whole replicas execute as R×k array kernels over the shared CSR (one
@@ -55,7 +55,6 @@ from repro.runtime import (
     register_algorithm,
     unregister_algorithm,
 )
-from repro.sim.batch import BACKENDS
 from repro.sim.vector import rotor_walk_program
 
 __all__ = ["CELLS", "build_specs", "measure_cell", "run_suite", "main"]
@@ -126,7 +125,7 @@ def measure_cell(
     name: str, family: str, graph: Dict, k: int, replicas: int,
     rounds: int = 400, repeats: int = 3,
 ) -> Dict[str, object]:
-    """Benchmark one campaign cell: scalar loop vs both batch backends.
+    """Benchmark one campaign cell: scalar loop vs every batch backend.
 
     Asserts record bit-identity across all three execution modes before
     timing, so every number describes the same semantics.
@@ -138,9 +137,6 @@ def measure_cell(
         "numpy": {"engine": "batch-numpy"},
         "list": {"engine": "batch-list"},
     }
-    if "numpy" not in BACKENDS:  # pragma: no cover - numpy-less environments
-        del modes["numpy"]
-        del modes["numpy2d"]
 
     # correctness gate before timing
     reference = None
@@ -198,7 +194,7 @@ def run_suite(cells=None, rounds: int = 400, repeats: int = 3) -> Dict[str, obje
         "repeats": repeats,
         "workload": (
             "seeded kernel rotor walk per replica (placements and walks vary "
-            "by seed); scalar per-replica loop vs lockstep batch engine, both "
+            "by seed); scalar per-replica loop vs replica batch engines, both "
             "through repro.runtime.execute; records asserted bit-identical "
             "before timing"
         ),
@@ -244,7 +240,7 @@ def main(argv=None) -> int:
                 row[f"{mode} rep/s"] = f"{w[key]:.0f}"
         row["speedup"] = f"{w['speedup']:.2f}x"
         rows.append(row)
-    print(render_table(rows, title="replica campaigns: lockstep batch engine vs scalar loop"))
+    print(render_table(rows, title="replica campaigns: replica batch engines vs scalar loop"))
 
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)

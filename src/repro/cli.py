@@ -7,7 +7,7 @@ Examples::
     python -m repro plan --n 12
     python -m repro run --family ring --n 12 --k 7 --algorithm faster
     python -m repro run --family erdos_renyi --n 16 --k 5 \\
-        --placement scatter --labels adversarial_long --trace
+        --placement scatter --labels adversarial_long
     python -m repro sweep --family ring --algorithm undispersed \\
         --ns 8 12 16 24 --k 4
     python -m repro sweep --ns 8 12 16 --workers 4 --cache-dir .repro-cache
@@ -779,7 +779,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--engine", choices=list_engines(), default=None,
                         help="simulation backend (default: the optimized "
                              "scalar scheduler); batch-* engines run "
-                             "differ-only-by-seed groups in lockstep — all "
+                             "differ-only-by-seed groups as replica batches, "
+                             "replica by replica — all "
                              "backends are bit-identical; see docs/ENGINES.md")
 
     def common(sp):
@@ -821,7 +822,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("run", help="run one gathering instance")
     common(pr)
-    pr.add_argument("--trace", action="store_true", help="(reserved)")
     pr.set_defaults(fn=cmd_run)
 
     ps = sub.add_parser("sweep", help="sweep n and fit the growth slope")

@@ -13,10 +13,12 @@ reports):
   optional chunked multi-record files for large batches);
 * :mod:`~repro.runtime.graph_cache` — per-worker graph/CSR memoization, so
   a batch builds each topology once instead of once per spec;
-* :class:`BatchRunSpec` / ``execute(engine="batch-numpy")`` — lockstep
-  replica batching: specs that differ only by seed run as one fleet through
-  :class:`repro.sim.batch.ReplicaBatch`, amortizing graph checks and per-round
-  overhead while keeping records and cache keys bit-identical;
+* :class:`BatchRunSpec` / ``execute(engine="batch-numpy")`` — replica
+  batching: specs that differ only by seed run as one batch through
+  :class:`repro.sim.batch.ReplicaBatch`, replica by replica through
+  ``Scheduler.run``, sharing one graph build, one set of graph checks and
+  one pair-distance memo while keeping records and cache keys
+  bit-identical;
 * ``execute(engine=...)`` — single-flag simulation-backend dispatch: every
   registered engine (:func:`repro.sim.engines.list_engines`) is selectable
   by name, with bit-identical records across conforming backends (see

@@ -26,7 +26,7 @@ import math
 import os
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.spec import (
     BatchRunSpec,
@@ -145,23 +145,20 @@ class Executor(ABC):
         """Run replica batches; one outcome list per batch, in order.
 
         Default implementation is serial and in-process; parallel executors
-        override it to dispatch whole batches to workers (a batch is
-        already a coarse unit — replicas inside it run in lockstep and
-        cannot be split).  ``progress`` fires per replica outcome with
-        ``total`` = all replicas across ``batches``.
+        override it to dispatch whole batches to workers (a batch is one
+        unit of work: its replicas share one graph, one set of graph
+        checks and one pair-distance memo).  ``progress`` fires per replica
+        outcome with ``total`` = all replicas across ``batches``.
         """
         total = sum(len(b.seeds) for b in batches)
         done = 0
         results: List[List[RunOutcome]] = []
         for batch in batches:
-            outcomes = execute_batch_spec(batch)
-            results.append(outcomes)
-            if progress is not None:
-                for outcome in outcomes:
-                    done += 1
+            results.append(execute_batch_spec(batch))
+            for outcome in results[-1]:
+                done += 1
+                if progress is not None:
                     progress(outcome, done, total)
-            else:
-                done += len(outcomes)
         return results
 
 
@@ -244,49 +241,19 @@ class ParallelExecutor(Executor):
         if self.workers == 1 or len(specs) == 1:
             return SerialExecutor().run(specs, progress=progress, engine=engine)
 
-        ProcessPoolExecutor, as_completed, ctx = _pool_kit(self.mp_context)
         chunksize = self.chunksize or max(1, math.ceil(len(specs) / (4 * self.workers)))
         chunks = [specs[i : i + chunksize] for i in range(0, len(specs), chunksize)]
-
         results: List[Optional[RunOutcome]] = [None] * len(specs)
         done = 0
-
-        def land(start: int, outcomes: List[RunOutcome]) -> None:
-            nonlocal done
-            for offset, outcome in enumerate(outcomes):
-                results[start + offset] = outcome
+        for c, outcomes in self._pooled(
+            _execute_chunk, [(chunk, engine) for chunk in chunks], chunks.__getitem__, engine
+        ):
+            start = c * chunksize
+            results[start : start + len(outcomes)] = outcomes
+            for outcome in outcomes:
                 done += 1
                 if progress is not None:
                     progress(outcome, done, len(specs))
-
-        # A worker that dies mid-task (OOM-kill, segfault, os._exit) breaks
-        # the whole ProcessPoolExecutor: every unfinished future raises
-        # BrokenProcessPool, including chunks that never ran.  Those chunks
-        # are collected here and retried one spec at a time in fresh
-        # single-use pools, so only the spec that actually kills its worker
-        # is reported as failed.
-        retry: List[int] = []
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(chunks)), mp_context=ctx
-        ) as pool:
-            futures = {
-                pool.submit(_execute_chunk, chunk, engine): start
-                for chunk, start in zip(chunks, range(0, len(specs), chunksize))
-            }
-            for future in as_completed(futures):
-                start = futures[future]
-                try:
-                    outcomes = future.result()
-                except Exception:
-                    retry.append(start)
-                    continue
-                # outside the try: a raising progress/cache callback must
-                # propagate, not masquerade as a dead worker
-                land(start, outcomes)
-
-        for start in sorted(retry):
-            for i, spec in enumerate(specs[start : start + chunksize]):
-                land(start + i, [self._run_isolated(spec, ctx, engine=engine)])
 
         if any(r is None for r in results):  # lost future / short chunk: a bug
             raise RuntimeError(
@@ -302,7 +269,7 @@ class ParallelExecutor(Executor):
     ) -> List[List[RunOutcome]]:
         """Fan whole batches out over worker processes, one per task.
 
-        No chunking: a batch is already coarse (R lockstep replicas).  A
+        No chunking: a batch is already a coarse unit of R replicas.  A
         worker that dies mid-batch poisons only its own batch, which is
         retried replica-by-replica through the scalar isolation path —
         records are identical either way, just slower.
@@ -314,40 +281,48 @@ class ParallelExecutor(Executor):
             return super().run_batches(batches, progress=progress)
         total = sum(len(b.seeds) for b in batches)
         done = 0
-        results: List[Optional[List[RunOutcome]]] = [None] * len(batches)
+        results: List[List[RunOutcome]] = [[] for _ in batches]
+        for i, outcomes in self._pooled(
+            execute_batch_spec, [(b,) for b in batches], lambda i: batches[i].specs()
+        ):
+            results[i] = outcomes
+            for outcome in outcomes:
+                done += 1
+                if progress is not None:
+                    progress(outcome, done, total)
+        return results
+
+    def _pooled(
+        self,
+        work: Callable[..., List[RunOutcome]],
+        tasks: Sequence[tuple],
+        specs_of: Callable[[int], List[RunSpec]],
+        engine: Optional[str] = None,
+    ) -> Iterator[Tuple[int, List[RunOutcome]]]:
+        """Yield ``(task index, outcomes)`` as each ``work(*task)`` lands.
+
+        A worker that dies mid-task (OOM-kill, segfault, ``os._exit``)
+        breaks the whole pool: every unfinished future raises
+        ``BrokenProcessPool``, including tasks that never ran.  Those tasks
+        are collected here and their specs (``specs_of(index)``) re-run one
+        per fresh single-use pool, so only the spec that actually kills its
+        worker is reported as failed.
+        """
         ProcessPoolExecutor, as_completed, ctx = _pool_kit(self.mp_context)
         retry: List[int] = []
         with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(batches)), mp_context=ctx
+            max_workers=min(self.workers, len(tasks)), mp_context=ctx
         ) as pool:
-            futures = {
-                pool.submit(execute_batch_spec, batch): i
-                for i, batch in enumerate(batches)
-            }
+            futures = {pool.submit(work, *task): i for i, task in enumerate(tasks)}
             for future in as_completed(futures):
-                i = futures[future]
                 try:
                     outcomes = future.result()
                 except Exception:
-                    retry.append(i)
+                    retry.append(futures[future])
                     continue
-                results[i] = outcomes
-                if progress is not None:
-                    for outcome in outcomes:
-                        done += 1
-                        progress(outcome, done, total)
-                else:
-                    done += len(outcomes)
+                yield futures[future], outcomes
         for i in sorted(retry):
-            outcomes = [
-                self._run_isolated(spec, ctx) for spec in batches[i].specs()
-            ]
-            results[i] = outcomes
-            if progress is not None:
-                for outcome in outcomes:
-                    done += 1
-                    progress(outcome, done, total)
-        return [r for r in results if r is not None]
+            yield i, [self._run_isolated(spec, ctx, engine) for spec in specs_of(i)]
 
     @staticmethod
     def _run_isolated(spec: RunSpec, ctx, engine: Optional[str] = None) -> RunOutcome:

@@ -1,38 +1,27 @@
-"""Batched replica engine: lockstep multi-seed simulation.
+"""Batched replica engine: many seed-replicas over one shared graph.
 
 The probabilistic experiments in this repository are *replica campaigns*:
 the same graph and program run under dozens of seeds (different placements,
-labels, and program randomness).  Running each replica through its own
-:class:`~repro.sim.world.World` pays the full scheduler overhead R times;
-this module runs R replicas **in lockstep** over shared immutable data —
-one graph and its compiled CSR kernel — and retires replicas
-individually as they terminate.
+labels, and program randomness).  This module runs R such replicas over
+shared immutable data — one graph and its compiled CSR kernel — and
+reports one outcome per replica.
 
 Architecture
 ------------
 
 Each replica is backed by a real :class:`~repro.sim.scheduler.Scheduler`
 (sharing the one graph), so every replica owns exactly the state a scalar
-run would own, and every round runs through that scheduler's own code.
-The batch layer adds two things on top:
-
-* **Lockstep turns** — the driver visits the live replicas in order,
-  applies ``Scheduler.run``'s gates (terminated, gathered under
-  ``stop_on_gather``, past ``max_rounds``) exactly as a scalar run would,
-  and advances each replica by one :meth:`Scheduler._step_soa` call
-  bounded by :data:`ReplicaBatch.SLICE` rounds.  The turn size is only a
-  scheduling knob: replicas are independent, so it cannot change any
-  result.
-* **R-wide bookkeeping** — per-replica rounds, moves, executed-round and
-  error counters, filled when a replica retires and aggregated once.  The
-  backend is NumPy when importable and a pure-list implementation
-  otherwise; both are integer-exact, so results are bit-identical either
-  way (``tests/test_batch_differential.py`` runs both and pins traces,
-  positions, statuses and every metric against scalar runs).
+run would own.  :meth:`ReplicaBatch.run` runs the replicas one after
+another, each through ``Scheduler.run`` + ``package_result`` — the loop
+and packaging ``World.run`` uses — so a replica's result, or its error,
+is the scalar run's by construction.  Before that, the
+:meth:`ReplicaBatch._vector_phase` hook may install whole end states
+computed by array kernels (:class:`~repro.sim.batch2d.Replica2DBatch`);
+such a replica's ``Scheduler.run`` then only finalizes it.
 
 Failure isolation matches the runtime layer's: an exception inside one
-replica (protocol violation, deadlock, timeout) retires that replica with
-an error outcome — message-identical to what the scalar path raises — and
+replica (protocol violation, deadlock, timeout) becomes that replica's
+error outcome — message-identical to what the scalar path raises — and
 the rest of the batch keeps running.
 
 The engine is deliberately *clean-model only*: no tracing, no replay, no
@@ -51,118 +40,44 @@ from repro.sim.robot import RobotSpec
 from repro.sim.scheduler import Scheduler
 from repro.sim.world import DEFAULT_MAX_ROUNDS, RunResult, package_result
 
-try:  # NumPy is a declared dependency, but the engine must not require it:
-    import numpy as _np  # the pure-list backend keeps results bit-identical
-except ImportError:  # pragma: no cover - exercised via backend="list"
-    _np = None
-
 __all__ = [
     "ReplicaBatch",
     "ReplicaOutcome",
     "BatchSummary",
-    "HAVE_NUMPY",
     "resolve_backend",
     "make_replica_batch",
     "BACKENDS",
 ]
 
-HAVE_NUMPY = _np is not None
-
 
 # ---------------------------------------------------------------------------
-# Bookkeeping backends
+# Backends
 # ---------------------------------------------------------------------------
 
 
-class _ListBackend:
-    """Pure-Python R-wide integer arrays (always available)."""
+@dataclass(frozen=True)
+class _Backend:
+    """A backend: its name, which selects the driver class (see
+    :func:`make_replica_batch`)."""
 
-    name = "list"
-
-    @staticmethod
-    def zeros(n: int):
-        return [0] * n
-
-    @staticmethod
-    def total(arr) -> int:
-        return sum(arr)
-
-    @staticmethod
-    def maximum(arr) -> int:
-        return max(arr) if arr else 0
-
-    @staticmethod
-    def count_nonzero(arr) -> int:
-        return sum(1 for v in arr if v)
-
-    @staticmethod
-    def tolist(arr) -> List[int]:
-        return list(arr)
+    name: str
 
 
-class _NumpyBackend:
-    """R-wide int64 NumPy arrays; aggregation runs vectorized.
+#: Selectable backends by name; ``"auto"`` resolves to ``"numpy"``.  Every
+#: backend runs each replica through ``Scheduler.run``; ``numpy2d`` selects
+#: the driver that adds the replica-major kernel front-run.
+BACKENDS = {name: _Backend(name) for name in ("list", "numpy", "numpy2d")}
 
-    Every operation is integer-exact, so summaries are bit-identical to the
-    list backend's — NumPy buys aggregation speed at large R, nothing else.
+
+def resolve_backend(name: str) -> _Backend:
+    """The backend for ``name`` (``"auto"``/``"numpy2d"``/``"numpy"``/``"list"``).
+
+    ``"auto"`` picks ``"numpy"``: the 2D replica-major driver only pays off
+    for fleets that declare a :class:`~repro.sim.vector.VectorProgram`, so
+    it stays opt-in.
     """
-
-    name = "numpy"
-
-    @staticmethod
-    def zeros(n: int):
-        return _np.zeros(n, dtype=_np.int64)
-
-    @staticmethod
-    def total(arr) -> int:
-        return int(arr.sum())
-
-    @staticmethod
-    def maximum(arr) -> int:
-        return int(arr.max()) if arr.size else 0
-
-    @staticmethod
-    def count_nonzero(arr) -> int:
-        return int(_np.count_nonzero(arr))
-
-    @staticmethod
-    def tolist(arr) -> List[int]:
-        return [int(v) for v in arr]
-
-
-if HAVE_NUMPY:
-
-    class _Numpy2DBackend(_NumpyBackend):
-        """Bookkeeping for the replica-major 2D engine.
-
-        The R-wide bookkeeping ops are exactly :class:`_NumpyBackend`'s —
-        what changes under ``backend="numpy2d"`` is the *driver*:
-        :func:`make_replica_batch` returns a
-        :class:`~repro.sim.batch2d.Replica2DBatch`, which front-runs the
-        lockstep loop with whole-replica array kernels (see that module).
-        """
-
-        name = "numpy2d"
-
-
-#: Selectable backends by name; ``"auto"`` prefers NumPy when importable.
-BACKENDS = {"list": _ListBackend}
-if HAVE_NUMPY:
-    BACKENDS["numpy"] = _NumpyBackend
-    BACKENDS["numpy2d"] = _Numpy2DBackend
-
-
-def resolve_backend(name: str):
-    """The backend class for ``name`` (``"auto"``/``"numpy2d"``/``"numpy"``/``"list"``).
-
-    ``"auto"`` prefers the plain NumPy bookkeeping backend: the 2D
-    replica-major driver only pays off for fleets that declare a
-    :class:`~repro.sim.vector.VectorProgram`, so it stays opt-in.
-    """
-    if name == "auto":
-        return BACKENDS["numpy"] if HAVE_NUMPY else BACKENDS["list"]
     try:
-        return BACKENDS[name]
+        return BACKENDS["numpy" if name == "auto" else name]
     except KeyError:
         known = sorted(BACKENDS) + ["auto"]
         raise ValueError(f"unknown batch backend {name!r}; known: {known}") from None
@@ -174,12 +89,12 @@ def make_replica_batch(
     strict: bool = False,
     backend: str = "auto",
 ) -> "ReplicaBatch":
-    """Construct the right batch engine for ``backend``.
+    """Construct the driver ``backend`` selects.
 
     ``"numpy2d"`` selects the replica-major
-    :class:`~repro.sim.batch2d.Replica2DBatch` (imported lazily — the
-    module needs NumPy); every other name builds a plain
-    :class:`ReplicaBatch`.  All engines are bit-identical on results; the
+    :class:`~repro.sim.batch2d.Replica2DBatch` (imported here: it
+    subclasses :class:`ReplicaBatch`); every other name builds a plain
+    :class:`ReplicaBatch`.  All drivers are bit-identical on results; the
     name only picks the execution strategy.
     """
     ops = resolve_backend(backend)  # raises on unknown names, resolves auto
@@ -233,7 +148,7 @@ class BatchSummary:
 
 
 class ReplicaBatch:
-    """R seed-replicas of one configuration, run in lockstep.
+    """R seed-replicas of one configuration over one shared graph.
 
     Parameters
     ----------
@@ -246,9 +161,8 @@ class ReplicaBatch:
     strict:
         Passed through to each replica's scheduler.
     backend:
-        ``"auto"`` (NumPy when importable), ``"numpy"``, or ``"list"`` —
-        selects the R-wide bookkeeping backend.  Results are bit-identical
-        across backends.
+        A name from :data:`BACKENDS` (or ``"auto"``), reported in the
+        summary.  Results are bit-identical across backends.
     """
 
     def __init__(
@@ -277,111 +191,52 @@ class ReplicaBatch:
             self.outcomes.append(None)
         self.summary = BatchSummary(replicas=len(self.scheds), backend=self.ops.name)
 
-    #: Rounds one replica may advance per lockstep turn.  Purely a
-    #: scheduling knob — replicas are independent, so the turn size cannot
-    #: affect any result.
-    SLICE = 64
-
     # ------------------------------------------------------------------
     def run(
         self, max_rounds: int = DEFAULT_MAX_ROUNDS, stop_on_gather: bool = False
     ) -> List[ReplicaOutcome]:
         """Run every replica to completion; outcomes in replica order.
 
-        Per-replica semantics are those of ``Scheduler.run`` +
-        ``package_result``: the same ``stop_on_gather`` early exit, the same
-        ``max_rounds`` timeout (reported as an error outcome instead of a
-        raised exception), the same finalized metrics.
-
-        Each turn applies ``Scheduler.run``'s gates in its exact order, then
-        advances the replica by one ``_step_soa`` call that stops at the
-        turn budget, the timeout round, termination or (under
-        ``stop_on_gather``) gathering, whichever comes first.
+        Each live replica runs through ``Scheduler.run`` + ``package_result``
+        — the same ``stop_on_gather`` early exit, the same ``max_rounds``
+        timeout (reported as an error outcome instead of a raised
+        exception), the same finalized metrics.
         """
-        ops = self.ops
-        R = len(self.scheds)
-        # R-wide bookkeeping (backend-managed): filled at retirement,
-        # aggregated once at the end.
-        rounds_arr = ops.zeros(R)
-        executed_arr = ops.zeros(R)
-        moves_arr = ops.zeros(R)
-        error_arr = ops.zeros(R)
-
-        scheds = self.scheds
         outcomes = self.outcomes
-        slice_budget = self.SLICE
-        timeout_round = max_rounds + 1
-
-        live = [j for j in range(R) if outcomes[j] is None]
+        live = [j for j, outcome in enumerate(outcomes) if outcome is None]
+        self._vector_phase(live, max_rounds, stop_on_gather)
         for j in live:
-            scheds[j]._stop_on_gather = stop_on_gather
-        # Replica-major front-run: subclasses (Replica2DBatch) may retire
-        # whole replicas through array kernels before the lockstep loop ever
-        # steps a generator.  The base engine keeps every replica.
-        live = self._vector_phase(
-            live, rounds_arr, executed_arr, moves_arr, error_arr,
-            max_rounds, stop_on_gather,
-        )
-        while live:
-            nxt: List[int] = []
-            for j in live:
-                sched = scheds[j]
-                try:
-                    # --- Scheduler.run loop gates, in its exact order ----
-                    if sched._alive == 0 or (
-                        stop_on_gather and sched.metrics.first_gather_round is not None
-                    ):
-                        self._retire(j, rounds_arr, executed_arr, moves_arr)
-                        continue
-                    rnd = sched.round
-                    if rnd > max_rounds:
-                        raise sched._timeout_error()
-                    sched._step_soa(min(rnd + slice_budget, timeout_round))
-                    nxt.append(j)
-                except Exception as exc:
-                    # Isolated failure: the same exception the scalar path
-                    # would surface, stringified identically; siblings
-                    # keep running.
-                    error_arr[j] = 1
-                    outcomes[j] = ReplicaOutcome(
-                        error=str(exc), error_type=type(exc).__name__
-                    )
-            live = nxt
-
-        failed_init = sum(
-            1 for s, o in zip(scheds, outcomes) if s is None and o is not None
-        )
+            sched = self.scheds[j]
+            try:
+                sched.run(max_rounds, stop_on_gather=stop_on_gather)
+            except Exception as exc:
+                # Isolated failure: the exception the scalar path raises,
+                # stringified identically; siblings keep running.
+                outcomes[j] = ReplicaOutcome(
+                    error=str(exc), error_type=type(exc).__name__
+                )
+            else:
+                outcomes[j] = ReplicaOutcome(result=package_result(sched))
+        done = [o.result.metrics for o in outcomes if o.ok]
         self.summary = BatchSummary(
-            replicas=R,
-            completed=sum(1 for o in outcomes if o is not None and o.ok),
-            failed=ops.count_nonzero(error_arr) + failed_init,
-            rounds_executed_total=ops.total(executed_arr),
-            total_moves=ops.total(moves_arr),
-            max_rounds=ops.maximum(rounds_arr),
-            backend=ops.name,
+            replicas=len(outcomes),
+            completed=len(done),
+            failed=len(outcomes) - len(done),
+            rounds_executed_total=sum(m.rounds_executed for m in done),
+            total_moves=sum(m.total_moves for m in done),
+            max_rounds=max((m.rounds for m in done), default=0),
+            backend=self.ops.name,
         )
         return list(outcomes)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def _vector_phase(
-        self, live, rounds_arr, executed_arr, moves_arr, error_arr,
-        max_rounds: int, stop_on_gather: bool,
-    ) -> List[int]:
-        """Hook for replica-major execution; returns the replicas still live.
+        self, live: List[int], max_rounds: int, stop_on_gather: bool
+    ) -> None:
+        """Hook for replica-major execution, run before the replicas'
+        ``Scheduler.run`` calls.
 
-        The base engine vectorizes nothing — every replica proceeds to the
-        lockstep generator loop.  :class:`~repro.sim.batch2d.Replica2DBatch`
-        overrides this to retire hot replicas through array kernels.
+        The base engine vectorizes nothing.
+        :class:`~repro.sim.batch2d.Replica2DBatch` overrides this to
+        install the end states of hot replicas, computed by array kernels.
         """
-        return live
-
-    # ------------------------------------------------------------------
-    def _retire(self, j: int, rounds_arr, executed_arr, moves_arr) -> None:
-        """Finalize replica ``j`` through the scalar code path and record
-        its bookkeeping row."""
-        sched = self.scheds[j]
-        metrics = sched._finalize()
-        self.outcomes[j] = ReplicaOutcome(result=package_result(sched))
-        rounds_arr[j] = metrics.rounds
-        executed_arr[j] = metrics.rounds_executed
-        moves_arr[j] = metrics.total_moves

@@ -1,9 +1,9 @@
-"""Replica-major batch engine: whole replicas retired by array kernels.
+"""Replica-major batch engine: whole replicas computed by array kernels.
 
-:class:`~repro.sim.batch.ReplicaBatch` (PR 5) runs R replicas in lockstep
-but still activates every robot by stepping its Python generator — the
-per-robot interpreter round-trip is the floor it cannot break.  This
-module inverts the layout: for fleets that declare a
+:class:`~repro.sim.batch.ReplicaBatch` runs each replica through
+``Scheduler.run``, which activates every robot by stepping its Python
+generator — the per-robot interpreter round-trip is the floor it cannot
+break.  This module inverts the layout: for fleets that declare a
 :class:`~repro.sim.vector.VectorProgram`, the whole R×k hot state
 (positions, CSR slots, wake offsets) lives in 2D NumPy arrays and entire
 *runs* execute as array kernels over the single shared CSR — one
@@ -13,7 +13,8 @@ Hot/cold split
 --------------
 
 :class:`Replica2DBatch` subclasses :class:`ReplicaBatch` and overrides the
-``_vector_phase`` hook, which runs once before the lockstep loop:
+``_vector_phase`` hook, which runs once before the replicas'
+``Scheduler.run`` calls:
 
 1. **Hot candidates.**  A replica qualifies only if every robot in its
    fleet shares one :class:`VectorProgram`, its scheduler is pristine
@@ -28,27 +29,28 @@ Hot/cold split
 3. **Array execution.**  Each surviving group executes as one batch of 2D
    kernels; the kernel returns per-replica
    :class:`~repro.sim.vector.ReplicaFinal` end states.
-4. **Write-back + scalar retirement.**  The final state is written onto
-   the replica's pristine scheduler (arrays, counters, statuses) and the
-   replica retires through the ordinary ``_finalize`` →
-   ``package_result`` path — the packaged result is produced by the exact
-   code a scalar run uses, from the exact state a scalar run would hold.
-   The robots' generators are never sent an observation; they are simply
-   closed, still suspended at their priming yield.
+4. **Write-back.**  The final state is written onto the replica's
+   pristine scheduler (arrays, counters, statuses).  Its robots have all
+   terminated, so its ``Scheduler.run`` executes no round and packages
+   the result through the ordinary ``_finalize`` → ``package_result``
+   path — the packaged result is produced by the exact code a scalar run
+   uses, from the exact state a scalar run would hold.  The robots'
+   generators are never sent an observation; they are simply closed,
+   still suspended at their priming yield.
 
 Everything that does not qualify — cold regimes (mid-round follows,
 meet-sleeps, traced or activation-model rounds never reach this engine;
 the runtime only batches clean specs, but scripted sleeps, card publishes,
-and irregular graphs do), construction failures, kernel declines — stays
-in ``live`` untouched and runs the inherited lockstep scalar drive from
-round 0.  Bit-identity with ``batch-list``/``batch-numpy`` (and the error
-parity of timeouts, bad ports, and deadlocks) is therefore structural:
-the scalar path is not an approximation of the hot path, it *is* the
-semantics, and the hot path must prove it can reproduce it before it is
-allowed to run (``tests/test_batch2d.py`` pins both sides).
+and irregular graphs do), construction failures, kernel declines — keeps
+its pristine scheduler and runs through ``Scheduler.run`` from round 0.
+Bit-identity with ``batch-list``/``batch-numpy`` (and the error parity of
+timeouts, bad ports, and deadlocks) is therefore structural: the scalar
+path is not an approximation of the hot path, it *is* the semantics, and
+the hot path must prove it can reproduce it before it is allowed to run
+(``tests/test_batch2d.py`` pins both sides).
 
 Instrumentation: :attr:`Replica2DBatch.vector_stats` counts replicas
-retired by kernels vs. fallen back, for benchmarks and tests;
+computed by kernels vs. fallen back, for benchmarks and tests;
 :class:`~repro.sim.batch.BatchSummary` stays backend-agnostic.
 """
 
@@ -91,16 +93,15 @@ class Replica2DBatch(ReplicaBatch):
                 self._programs.append(prog)
             else:
                 self._programs.append(None)
-        #: Hot/cold accounting for the last ``run``: replicas retired by a
+        #: Hot/cold accounting for the last ``run``: replicas computed by a
         #: kernel vs. replicas that declared a VectorProgram but ran scalar.
         self.vector_stats: Dict[str, int] = {"vectorized": 0, "fallbacks": 0}
 
     # ------------------------------------------------------------------
     def _vector_phase(
-        self, live, rounds_arr, executed_arr, moves_arr, error_arr,
-        max_rounds: int, stop_on_gather: bool,
-    ) -> List[int]:
-        """Retire hot replicas through array kernels; return the rest.
+        self, live: List[int], max_rounds: int, stop_on_gather: bool
+    ) -> None:
+        """Install the end states of hot replicas, computed by array kernels.
 
         Falls back — per replica, silently, and before any state is
         touched — whenever exactness cannot be proven; see the module
@@ -110,48 +111,38 @@ class Replica2DBatch(ReplicaBatch):
         self.vector_stats = stats
         programs = self._programs
         scheds = self.scheds
+        candidates = [j for j in live if programs[j] is not None]
         if stop_on_gather:
             # The early-exit run stops mid-schedule; only the scalar drive
             # tracks the exact gather round interleaved with cold actions.
-            stats["fallbacks"] = sum(1 for j in live if programs[j] is not None)
-            return live
+            stats["fallbacks"] = len(candidates)
+            return
 
-        remaining: List[int] = []
         groups: Dict[Tuple[object, Tuple[object, ...], int], List[int]] = {}
-        for j in live:
+        for j in candidates:
             prog = programs[j]
             sched = scheds[j]
             if (
-                prog is None
-                or sched is None
-                or sched.round != 0
+                sched.round != 0
                 or sched._alive != sched._nrob
                 or len(sched._active) != sched._nrob
                 or sched._wake_heap
                 or sched._woken
             ):
-                if prog is not None:
-                    stats["fallbacks"] += 1
-                remaining.append(j)
+                stats["fallbacks"] += 1
                 continue
             groups.setdefault((prog.kernel, prog.shared, sched._nrob), []).append(j)
 
         for (kernel, shared, _k), members in groups.items():
-            hot: List[int] = []
             try:
                 plan = plan_for(self.graph, kernel, shared)
             except Exception:
                 plan = None
             if plan is None:
                 stats["fallbacks"] += len(members)
-                remaining.extend(members)
                 continue
-            for j in members:
-                if plan.accepts(programs[j].params, max_rounds):
-                    hot.append(j)
-                else:
-                    stats["fallbacks"] += 1
-                    remaining.append(j)
+            hot = [j for j in members if plan.accepts(programs[j].params, max_rounds)]
+            stats["fallbacks"] += len(members) - len(hot)
             if not hot:
                 continue
             try:
@@ -164,25 +155,20 @@ class Replica2DBatch(ReplicaBatch):
                 # execute() is pure (no scheduler was touched), so the whole
                 # group can still run scalar, bit-identically.
                 stats["fallbacks"] += len(hot)
-                remaining.extend(hot)
                 continue
             for j, final in zip(hot, finals):
                 self._write_back(j, final)
-                self._retire(j, rounds_arr, executed_arr, moves_arr)
-                stats["vectorized"] += 1
-
-        remaining.sort()
-        return remaining
+            stats["vectorized"] += len(hot)
 
     # ------------------------------------------------------------------
     def _write_back(self, j: int, final: ReplicaFinal) -> None:
         """Install a kernel's end state onto replica ``j``'s scheduler.
 
         The scheduler is pristine (round 0, post-priming); after this call
-        it is indistinguishable from one that ran the replica to
-        completion through ``Scheduler.run``, so the inherited ``_retire``
-        (``_finalize`` + ``package_result``) packages the result through
-        the unmodified scalar path.
+        every robot has terminated, so the replica's ``Scheduler.run``
+        call in :meth:`ReplicaBatch.run` executes no round and packages
+        the result through the unmodified scalar path (``_finalize`` +
+        ``package_result``).
         """
         sched = self.scheds[j]
         k = sched._nrob

@@ -1,12 +1,13 @@
 """The engine protocol: one simulation contract, N interchangeable backends.
 
-Three execution paths grew up in this repository — the seed
-:class:`~repro.sim.reference.ReferenceScheduler` (the executable spec), the
-struct-of-arrays loop of :class:`~repro.sim.scheduler.Scheduler` (one frame
-per run, or one per round under the ``incremental`` pin), and the lockstep
-replica engine (:class:`~repro.sim.batch.ReplicaBatch`).  This module
-defines the contract they all satisfy, so call sites select a backend by
-*name* instead of hard-coding a class:
+Two execution paths grew up in this repository — the seed
+:class:`~repro.sim.reference.ReferenceScheduler` (the executable spec) and
+the struct-of-arrays loop of :class:`~repro.sim.scheduler.Scheduler` (one
+frame per run, or one per round under the ``incremental`` pin); replica
+batches (:class:`~repro.sim.batch.ReplicaBatch`) run each replica through
+the latter's ``run``.  This module defines the contract every backend
+satisfies, so call sites select a backend by *name* instead of
+hard-coding a class:
 
 * :class:`EngineRequest` — everything one run needs: the graph, the robot
   fleet, and the optional instrumentation (trace / replay / activation).
@@ -67,8 +68,9 @@ class UnsupportedFeature(SimulationError):
 class EngineCapabilities:
     """Honest feature flags for one backend.
 
-    ``supports_batch`` — the backend can run many seed-replicas in lockstep
-    (the runtime routes ``group_into_batches`` output through it).
+    ``supports_batch`` — the runtime runs differ-only-by-seed groups under
+    this backend as replica batches (``group_into_batches`` output, on the
+    engine's ``batch_backend``).
     ``supports_activation`` — non-synchronous activation models.
     ``supports_tracing`` — event tracing (:class:`~repro.sim.trace.
     TraceRecorder`).
@@ -108,12 +110,11 @@ class Engine(ABC):
     constructor enforces capabilities against the request; backends never
     see instrumentation they did not claim.
 
-    The stepwise protocol: :meth:`step` advances the simulation by at least
-    one round (a backend may advance further — the replica engine runs
-    the whole request), :attr:`done` reports completion, :meth:`sync_state`
-    makes label-level queries (:meth:`positions`) current mid-run, and
-    :meth:`finalize` packages the finished run.  :meth:`run` drives the
-    whole thing and is what ``World.run`` calls.
+    The stepwise protocol: :meth:`step` advances the simulation by one
+    round or one fast-forward jump, :attr:`done` reports completion,
+    :meth:`sync_state` makes label-level queries (:meth:`positions`)
+    current mid-run, and :meth:`finalize` packages the finished run.
+    :meth:`run` drives the whole thing and is what ``World.run`` calls.
     """
 
     #: Registry key; unique across registered backends.
@@ -145,7 +146,7 @@ class Engine(ABC):
 
     @abstractmethod
     def step(self) -> None:
-        """Advance the simulation by at least one round."""
+        """Advance the simulation by one round or one fast-forward jump."""
 
     @abstractmethod
     def sync_state(self) -> None:

@@ -2,23 +2,25 @@
 
 Every execution path in the repository registers here under a stable name:
 
-============= ========================================================== =====
-name          implementation                                             notes
-============= ========================================================== =====
-reference     :class:`~repro.sim.reference.ReferenceScheduler`           the executable spec; the conformance oracle
-incremental   ``Scheduler`` pinned to per-round stepping                 one SoA frame per round
-soa           :class:`~repro.sim.scheduler.Scheduler` (default)          SoA loop, one frame per run
-batch-list    :class:`~repro.sim.batch.ReplicaBatch` (list backend)      lockstep replicas, pure-Python bookkeeping
-batch-numpy   :class:`~repro.sim.batch.ReplicaBatch` (numpy backend)     lockstep replicas, vectorized bookkeeping
-batch-numpy2d :class:`~repro.sim.batch2d.Replica2DBatch`                 replica-major 2D kernels + scalar fallback
-============= ========================================================== =====
+============= ================================================================== =====
+name          implementation                                                     notes
+============= ================================================================== =====
+reference     :class:`~repro.sim.reference.ReferenceScheduler`                   the executable spec; the conformance oracle
+incremental   ``Scheduler`` pinned to per-round stepping                         one SoA frame per round
+soa           :class:`~repro.sim.scheduler.Scheduler` (default)                  SoA loop, one frame per run
+batch-list    ``Scheduler``; batches: :class:`~repro.sim.batch.ReplicaBatch`     replica by replica through ``Scheduler.run``
+batch-numpy   ``Scheduler``; batches: :class:`~repro.sim.batch.ReplicaBatch`     the same, under the ``numpy`` backend name
+batch-numpy2d ``Scheduler``; batches: :class:`~repro.sim.batch2d.Replica2DBatch` 2D kernels for hot replicas, then ``Scheduler.run``
+============= ================================================================== =====
 
 Call sites name a backend (``World.run(engine="soa")``, ``execute(specs,
 engine="batch-numpy")``, ``--engine`` on the CLI) and the factory here
 resolves it; :func:`get_engine` raises a ``ValueError`` listing the
-registered names for typos.  The ``batch-numpy*`` backends register only
-when numpy is importable, so :func:`list_engines` always reflects what can
-actually run.
+registered names for typos.  A ``batch-*`` engine's single run is an
+ordinary scheduler run; its name matters to the runtime, which groups
+differ-only-by-seed specs into replica batches on its ``batch_backend``.
+Every registered engine steps one round (or one fast-forward jump) per
+``step()``.
 
 The conformance harness (``tests/test_engine_conformance.py``) runs every
 registered backend against the ``reference`` oracle; see ``docs/ENGINES.md``
@@ -27,15 +29,12 @@ for the contract and for adding a backend.
 
 from __future__ import annotations
 
-import builtins
 from typing import Dict, List, Optional, Type
 
-from repro.sim import errors as _errors
-from repro.sim.batch import HAVE_NUMPY, ReplicaOutcome, make_replica_batch
 from repro.sim.engine import Engine, EngineCapabilities, EngineRequest
 from repro.sim.reference import ReferenceScheduler
 from repro.sim.scheduler import Scheduler
-from repro.sim.world import DEFAULT_MAX_ROUNDS, package_result
+from repro.sim.world import package_result
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -209,117 +208,34 @@ class SoAEngine(_SchedulerEngine):
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_error(outcome: ReplicaOutcome) -> Exception:
-    """Reconstruct a replica's isolated failure as a raisable exception.
-
-    :class:`~repro.sim.batch.ReplicaBatch` stores failures as
-    ``(str(exc), type(exc).__name__)`` — exactly what the scalar runtime
-    records.  Single-run engine semantics require *raising*; rebuilding by
-    type name + message keeps ``str``/``type`` identical to the scalar
-    path without re-running failed constructors.
-    """
-    exc_type = getattr(_errors, outcome.error_type or "", None)
-    if exc_type is None:
-        exc_type = getattr(builtins, outcome.error_type or "", None)
-    if not (isinstance(exc_type, type) and issubclass(exc_type, BaseException)):
-        exc_type = _errors.SimulationError
-    exc = exc_type.__new__(exc_type)
-    Exception.__init__(exc, outcome.error or "")
-    return exc
-
-
-class _BatchEngine(Engine):
-    """Adapter: :class:`ReplicaBatch` as a (coarse-stepped) single-run engine.
-
-    The replica engine's unit of progress is a lockstep turn of many
-    rounds, so :meth:`step` runs the request to completion on first call
-    (the protocol allows steps of more than one round).  Multi-replica use
-    goes through the runtime (``execute(engine="batch-...")`` groups
-    seed-replicas); here one fleet of size R=1 runs with scalar-identical
-    results.
-    """
-
-    batch_backend: str = "list"
-
-    def __init__(self, request: EngineRequest):
-        super().__init__(request)
-        self._batch = make_replica_batch(
-            request.graph,
-            [list(request.robots)],
-            strict=request.strict,
-            backend=type(self).batch_backend,
-        )
-        self._result = None
-
-    @property
-    def done(self) -> bool:
-        return self._result is not None
-
-    @property
-    def rounds(self) -> int:
-        if self._result is not None:
-            return self._result.metrics.rounds
-        return 0
-
-    def step(self) -> None:
-        # The replica engine's smallest externally observable unit of
-        # progress is the whole run (replicas retire inside lockstep
-        # turns), so one "step" drives it to completion under the default
-        # budget.
-        if self._result is None:
-            self.run(DEFAULT_MAX_ROUNDS)
-
-    def sync_state(self) -> None:
-        return None
-
-    def positions(self) -> Dict[int, int]:
-        if self._result is None:
-            return {r.label: r.start for r in self.request.robots}
-        return dict(self._result.positions)
-
-    def finalize(self):
-        if self._result is None:
-            raise RuntimeError("finalize() before run() on a batch engine")
-        return self._result
-
-    def run(self, max_rounds: int, stop_on_gather: bool = False):
-        outcome = self._batch.run(
-            max_rounds=max_rounds, stop_on_gather=stop_on_gather
-        )[0]
-        if not outcome.ok:
-            raise _rebuild_error(outcome)
-        self._result = outcome.result
-        return self._result
-
-
 @register_engine
-class BatchListEngine(_BatchEngine):
-    """Lockstep replica engine, pure-Python bookkeeping (always available)."""
+class BatchListEngine(_SchedulerEngine):
+    """Replica batches on the ``list`` backend; a single run is an
+    ordinary scheduler run."""
 
     name = "batch-list"
     capabilities = EngineCapabilities(supports_batch=True)
     batch_backend = "list"
 
 
-if HAVE_NUMPY:
+@register_engine
+class BatchNumpyEngine(_SchedulerEngine):
+    """Replica batches on the ``numpy`` backend; a single run is an
+    ordinary scheduler run."""
 
-    @register_engine
-    class BatchNumpyEngine(_BatchEngine):
-        """Lockstep replica engine, numpy bookkeeping (bit-identical to list)."""
+    name = "batch-numpy"
+    capabilities = EngineCapabilities(supports_batch=True)
+    batch_backend = "numpy"
 
-        name = "batch-numpy"
-        capabilities = EngineCapabilities(supports_batch=True)
-        batch_backend = "numpy"
 
-    @register_engine
-    class BatchNumpy2DEngine(_BatchEngine):
-        """Replica-major 2D engine: array kernels for hot replicas, the
-        lockstep scalar drive for everything else (bit-identical either
-        way; see :mod:`repro.sim.batch2d`)."""
+@register_engine
+class BatchNumpy2DEngine(_SchedulerEngine):
+    """Replica batches with the replica-major 2D kernel front-run (see
+    :mod:`repro.sim.batch2d`); a single run is an ordinary scheduler run."""
 
-        name = "batch-numpy2d"
-        capabilities = EngineCapabilities(supports_batch=True)
-        batch_backend = "numpy2d"
+    name = "batch-numpy2d"
+    capabilities = EngineCapabilities(supports_batch=True)
+    batch_backend = "numpy2d"
 
 
 def resolve_engine(name: Optional[str]) -> Type[Engine]:

@@ -46,8 +46,8 @@ Every round of every run is one round of the **SoA loop**
 (:meth:`_step_soa`).  One call runs due wake-ups, fast-forward jumps and
 rounds in a single frame: ``run`` makes one call per run, ``_step`` one
 call per round (``_step_soa(self.round + 1)``; a class that sets
-``_uses_soa = False`` makes it through :meth:`_step_general`), and the
-batch engine one call per lockstep turn.  The frame binds the CSR and
+``_uses_soa = False`` makes it through :meth:`_step_general`), and a
+replica batch runs each replica through ``run``.  The frame binds the CSR and
 the arrays once, keeps the round counter, the occupancy snapshot and the
 deferred counters in locals, reuses its scratch lists across rounds, and
 caches the all-gathered card tuple until the next cold action.  It
@@ -318,28 +318,23 @@ class Scheduler:
             if stop_on_gather and self.metrics.first_gather_round is not None:
                 break
             if self.round > max_rounds:
-                raise self._timeout_error()
+                raise SimulationTimeout(
+                    self.round,
+                    detail="; ".join(
+                        f"{r.label}:{rb.STATUS_NAMES[r.status]}" for r in self.robots
+                    ),
+                )
             if self._uses_soa:
                 self._step_soa(max_rounds + 1)
             else:
                 self._step()
         return self._finalize()
 
-    def _timeout_error(self) -> SimulationTimeout:
-        """The exception ``run`` raises past ``max_rounds``.  Shared with the
-        batched replica driver (:mod:`repro.sim.batch`), which enforces the
-        same limit per replica and must report the identical error."""
-        return SimulationTimeout(
-            self.round,
-            detail="; ".join(
-                f"{r.label}:{rb.STATUS_NAMES[r.status]}" for r in self.robots
-            ),
-        )
-
     def _finalize(self) -> RunMetrics:
         """Sync facades and fill the end-of-run metrics.  ``run`` calls this
-        once its loop exits; the batched replica driver calls it when it
-        retires a replica — one code path, identical metrics either way."""
+        once its loop exits; the stepwise engine protocol's ``finalize``
+        calls it after the last step — one code path, identical metrics
+        either way."""
         self._sync_states()
         self.metrics.rounds = self.round
         self.metrics.gathered_at_end = self.all_gathered()

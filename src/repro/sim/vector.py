@@ -7,12 +7,12 @@ every robot in a replica will do — which a black-box generator cannot
 promise.  This module is the declaration mechanism:
 
 * :class:`VectorProgram` wraps an ordinary program factory.  Calling it is
-  byte-for-byte the wrapped factory — every scalar engine (and the
-  lockstep batch engine) sees a normal program and never knows the wrapper
-  exists.  The 2D engine additionally reads the declaration triplet
-  ``(kernel, shared, params)`` and, when the kernel accepts the graph and
-  parameters, runs the replica through the array twin instead of the
-  generators.
+  byte-for-byte the wrapped factory — every scalar engine (and every
+  replica the batch engine runs through ``Scheduler.run``) sees a normal
+  program and never knows the wrapper exists.  The 2D engine additionally
+  reads the declaration triplet ``(kernel, shared, params)`` and, when the
+  kernel accepts the graph and parameters, runs the replica through the
+  array twin instead of the generators.
 * A **kernel** (e.g. :class:`RotorWalkKernel`) is the array twin of one
   program family.  ``kernel.plan(graph, shared)`` compiles the family for
   one graph (returning ``None`` when unsupported — the replica then simply
@@ -56,12 +56,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.actions import Action
+import numpy as np
 
-try:  # same optional-dependency posture as repro.sim.batch
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from repro.sim.actions import Action
 
 __all__ = [
     "VectorProgram",
@@ -78,7 +75,7 @@ class VectorProgram:
 
     Instances are callable with the exact signature of the wrapped
     ``factory`` (``factory(ctx) -> generator``), so every engine that
-    steps generators — the schedulers, the lockstep batch engine — runs
+    steps generators — the schedulers, the batch engine's replicas — runs
     the scalar program unchanged.  The 2D replica engine treats a fleet
     whose robots all share one ``VectorProgram`` as a *hot candidate*:
     replicas are grouped by ``(kernel, shared)`` and executed through
@@ -208,9 +205,9 @@ class _RotorPlan:
     def __init__(self, csr, rounds: int, d: int):
         self.rounds = rounds
         self.d = d
-        self._row = _np.asarray(csr.row_offsets, dtype=_np.int64)
-        self._nbr = _np.asarray(csr.neighbor, dtype=_np.int64)
-        self._ent = _np.asarray(csr.entry_port, dtype=_np.int64)
+        self._row = np.asarray(csr.row_offsets, dtype=np.int64)
+        self._nbr = np.asarray(csr.neighbor, dtype=np.int64)
+        self._ent = np.asarray(csr.entry_port, dtype=np.int64)
         # the fused transition: slot -> the slot of the next rotor move
         self._next_slot = self._row[self._nbr] + (self._ent + 1) % d
 
@@ -244,10 +241,10 @@ class _RotorPlan:
         """
         T = self.rounds
         d = self.d
-        starts2 = _np.asarray(starts, dtype=_np.int64)
-        labels2 = _np.asarray(labels, dtype=_np.int64)
+        starts2 = np.asarray(starts, dtype=np.int64)
+        labels2 = np.asarray(labels, dtype=np.int64)
         G, k = starts2.shape
-        seeds = _np.asarray([p.get("seed", 0) for p in params_list], dtype=_np.int64)
+        seeds = np.asarray([p.get("seed", 0) for p in params_list], dtype=np.int64)
         delays = [p.get("delay", 0) for p in params_list]
 
         # The hot core: the rotor step is a fixed map on CSR slots, so the
@@ -255,13 +252,13 @@ class _RotorPlan:
         # are f^m applied to rows [0, m), and f^(2m) is one self-gather of
         # the (tiny) f^m table.  O(log T) array ops gather the same element
         # count a per-round loop would, without 1-call-per-round overhead.
-        traj = _np.empty((T, G, k), dtype=_np.int64)
+        traj = np.empty((T, G, k), dtype=np.int64)
         traj[0] = self._row[starts2] + (labels2 + seeds[:, None]) % d
         jump = self._next_slot
         m = 1
         while m < T:
             span = min(m, T - m)
-            _np.take(jump, traj[:span], out=traj[m:m + span])
+            np.take(jump, traj[:span], out=traj[m:m + span])
             m += span
             if m < T:
                 jump = jump[jump]  # f^m ∘ f^m = f^(2m)
@@ -269,7 +266,7 @@ class _RotorPlan:
         # Post-pass: recover positions and the gathering profile in bulk.
         pos_traj = self._nbr[traj]  # (T, G, k) node after the round-t move
         if k == 1:
-            gathered = _np.ones((T, G), dtype=bool)
+            gathered = np.ones((T, G), dtype=bool)
         elif k == 2:
             gathered = pos_traj[:, :, 0] == pos_traj[:, :, 1]
         else:
@@ -327,8 +324,6 @@ class RotorWalkKernel:
     @classmethod
     def plan(cls, graph, shared: Tuple[Any, ...]) -> Optional[_RotorPlan]:
         """Compile for one graph; ``None`` when the twin cannot be exact."""
-        if _np is None:
-            return None
         if len(shared) != 1:
             return None
         (rounds,) = shared

@@ -139,10 +139,12 @@ class World:
 def package_result(sched: Scheduler) -> RunResult:
     """Package a finished scheduler into a :class:`RunResult`.
 
-    Shared by :meth:`World.run` and the batched replica engine
-    (:mod:`repro.sim.batch`), so a batched replica's result is assembled by
-    the exact code a scalar run uses.  The scheduler must have completed
-    (``run`` returned, or the batch driver called ``_finalize``).
+    Shared by :meth:`World.run`'s engines and the batched replica engine
+    (:mod:`repro.sim.batch`), which runs each replica through
+    ``Scheduler.run``, so a batched replica's result is assembled by the
+    exact code a scalar run uses.  The scheduler must have completed
+    (``run`` returned, or a stepwise engine's ``finalize`` called
+    ``_finalize``).
     """
     metrics: RunMetrics = sched.metrics
     positions = sched.positions()

@@ -22,9 +22,6 @@ issue calls out.
 from dataclasses import replace
 
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

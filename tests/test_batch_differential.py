@@ -1,13 +1,14 @@
 """The batched replica engine is bit-identical to scalar execution.
 
-:mod:`repro.sim.batch` runs R seed-replicas in lockstep, one
-``Scheduler._step_soa`` call per replica per turn; :mod:`repro.runtime` groups
-differ-only-by-seed specs into :class:`BatchRunSpec` units.  This module
-pins, for both bookkeeping backends (NumPy and the pure-list fallback):
+:mod:`repro.sim.batch` runs R seed-replicas over one shared graph, each
+through ``Scheduler.run``; :mod:`repro.runtime` groups differ-only-by-seed
+specs into :class:`BatchRunSpec` units.  This module pins, for every
+backend name (``list``, ``numpy`` and ``numpy2d``):
 
 * engine-level identity — positions, statuses, rounds, and every
   :class:`~repro.sim.metrics.RunMetrics` field against scalar
-  ``World.run`` on real algorithms over the integration-matrix instances;
+  ``World.run`` on real algorithms over the integration-matrix instances,
+  and that every live replica runs through ``Scheduler.run``;
 * runtime-level identity — ``execute(engine="batch-...")`` records (including the
   memoized pair-distance column) byte-equal to scalar records, cache keys
   interchangeable in both directions;
@@ -24,6 +25,7 @@ counts for the full-size matrix.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import replace
 
 import pytest
@@ -47,11 +49,13 @@ from repro.runtime import (
 )
 from repro.sim.batch import (
     BACKENDS,
-    HAVE_NUMPY,
     make_replica_batch,
     resolve_backend,
 )
+from repro.sim.actions import Action
+from repro.sim.errors import SimulationTimeout
 from repro.sim.robot import RobotSpec
+from repro.sim.scheduler import Scheduler
 from repro.sim.world import World
 from tests.conftest import scaled_examples, scripted_factory, scripts
 from tests.test_integration_matrix import FAMILY_INSTANCES
@@ -61,8 +65,8 @@ DIFF_SCALE = max(1, int(os.environ.get("REPRO_DIFF_SCALE", "1")))
 
 BACKEND_NAMES = sorted(BACKENDS)
 
-#: The best available replica engine (numpy bookkeeping when importable).
-BATCH_ENGINE = "batch-numpy" if HAVE_NUMPY else "batch-list"
+#: The replica engine ``"auto"`` resolves to.
+BATCH_ENGINE = "batch-numpy"
 
 
 def metrics_dict(m):
@@ -137,7 +141,7 @@ def test_engine_bit_identical_on_matrix(name, graph, case, prog, k, backend):
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_backends_agree_exactly(backend):
-    """Both backends produce identical outcomes and summaries (ints only)."""
+    """Every backend produces identical outcomes and summaries (ints only)."""
     graph = gg.ring(10)
 
     def mk():
@@ -155,9 +159,8 @@ def test_backends_agree_exactly(backend):
 
 def test_resolve_backend():
     assert resolve_backend("list").name == "list"
-    assert resolve_backend("auto").name == ("numpy" if HAVE_NUMPY else "list")
-    if HAVE_NUMPY:
-        assert resolve_backend("numpy2d").name == "numpy2d"
+    assert resolve_backend("auto").name == "numpy"
+    assert resolve_backend("numpy2d").name == "numpy2d"
     with pytest.raises(ValueError, match="unknown batch backend"):
         resolve_backend("cuda")
 
@@ -177,6 +180,69 @@ def test_engine_isolates_construction_failures():
     assert outcomes[1].error_type == "ValueError"
     assert "labels must be unique" in outcomes[1].error
     assert batch.summary.failed == 1
+
+
+def _oversleeper(ctx):
+    """Sleeps past any round budget, so its run times out."""
+    yield
+    yield Action.sleep(10**9)
+
+
+def test_every_replica_runs_through_scheduler_run(monkeypatch):
+    """``ReplicaBatch.run`` calls ``Scheduler.run`` once per live replica
+    and never steps a scheduler itself; a replica that times out carries
+    ``run``'s ``SimulationTimeout`` message, and its siblings equal
+    ``World.run``'s results."""
+    graph = gg.ring(8)
+    max_rounds = 500_000
+
+    def fleets():
+        return [
+            _fleet(graph, undispersed_gathering_program, 3, 1),
+            [RobotSpec(label=l, start=s, factory=_oversleeper) for l, s in ((2, 0), (5, 4))],
+            _fleet(graph, faster_gathering_program, 3, 2),
+        ]
+
+    scalar = []
+    for fleet in fleets():
+        try:
+            scalar.append(World(graph, fleet, strict=True).run(max_rounds=max_rounds))
+        except SimulationTimeout as exc:
+            scalar.append(exc)
+    assert isinstance(scalar[1], SimulationTimeout)
+
+    run, step_soa = Scheduler.run, Scheduler._step_soa
+    runs, batch_steps = [], []
+
+    def spy_run(self, *args, **kwargs):
+        runs.append(self)
+        return run(self, *args, **kwargs)
+
+    def spy_step_soa(self, stop_round):
+        if sys._getframe(1).f_globals["__name__"] == "repro.sim.batch":
+            batch_steps.append(stop_round)
+        return step_soa(self, stop_round)
+
+    monkeypatch.setattr(Scheduler, "run", spy_run)
+    monkeypatch.setattr(Scheduler, "_step_soa", spy_step_soa)
+    batch = make_replica_batch(graph, fleets(), strict=True)
+    outcomes = batch.run(max_rounds=max_rounds)
+    monkeypatch.undo()
+
+    assert runs == batch.scheds
+    assert batch_steps == []
+    assert (outcomes[1].error_type, outcomes[1].error) == (
+        "SimulationTimeout", str(scalar[1])
+    )
+    for j in (0, 2):
+        assert outcomes[j].ok, (j, outcomes[j].error)
+        got, want = outcomes[j].result, scalar[j]
+        assert got.positions == want.positions
+        assert metrics_dict(got.metrics) == metrics_dict(want.metrics)
+        assert (got.gathered, got.detected, got.stats) == (
+            want.gathered, want.detected, want.stats
+        )
+    assert (batch.summary.completed, batch.summary.failed) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +431,7 @@ script_strategy = scripts(max_size=8)
 @settings(max_examples=scaled_examples(60), deadline=None)
 def test_scripted_replicas_bit_identical(graph_pick, replica_scripts, data):
     """Each replica (its own random script set + starts) matches a scalar
-    run bit-for-bit, under both backends, through every cold path the
+    run bit-for-bit, under every backend, through every cold path the
     scripts can reach (sleeps, meets, cards, terminations)."""
     graph = [gg.ring(6), gg.path(5), gg.star(6), gg.erdos_renyi(7, seed=3)][graph_pick]
     starts = [

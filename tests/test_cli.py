@@ -3,10 +3,9 @@
 import pytest
 
 from repro.cli import main
-from repro.sim.batch import HAVE_NUMPY
 
 #: The replica engine the removed ``--batch`` alias used to select.
-LEGACY_BATCH_ENGINE = "batch-numpy" if HAVE_NUMPY else "batch-list"
+LEGACY_BATCH_ENGINE = "batch-numpy"
 
 
 class TestInformational:
@@ -118,7 +117,7 @@ class TestReplicaFlags:
 class TestEngineFlag:
     def test_sweep_engine_batch_rows_equal_legacy_batch_rows(self, capsys):
         """``batch-list`` rows equal those of the engine the removed
-        ``--batch`` alias selected (numpy bookkeeping when importable)."""
+        ``--batch`` alias selected (``batch-numpy``)."""
         argv = ["sweep", "--ns", "8", "--replicas", "3", "--workers", "1"]
         assert main(argv + ["--engine", "batch-list"]) == 0
         engine_out = capsys.readouterr().out.splitlines()
@@ -169,3 +168,10 @@ class TestParser:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--algorithm", "bogus"])
+
+    def test_run_trace_flag_rejected(self, capsys):
+        """``run`` has no trace output, so it takes no ``--trace`` flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--trace"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err

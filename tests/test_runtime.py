@@ -226,6 +226,49 @@ class TestFailureIsolation:
         finally:
             unregister_algorithm("test-worker-killer")
 
+    def test_dead_worker_process_poisons_only_its_own_replica(self):
+        """A replica that kills its worker mid-batch fails alone: the other
+        replicas of its batch, and the other batches, return the serial
+        records."""
+        import os
+        from dataclasses import replace
+
+        from repro.core.undispersed import undispersed_gathering_program
+
+        def killer_builder(opts):
+            if opts.get("doom") != opts["seed"]:
+                return undispersed_gathering_program()
+
+            def factory(ctx):
+                def program():
+                    _obs = yield
+                    os._exit(13)  # simulate the kernel killing the worker
+
+                return program()
+
+            return factory
+
+        register_algorithm("test-replica-killer", killer_builder, uses_uxs=False)
+        try:
+            base = RunSpec(algorithm="test-replica-killer", family="ring",
+                           graph={"n": 8}, placement="undispersed", k=3,
+                           uses_uxs=False)
+            doomed = replace(base, algorithm_args={"doom": 1})
+            specs = [replace(doomed, seed=s) for s in range(3)]
+            specs += [replace(base, seed=s) for s in range(3)]
+            result = execute(
+                specs,
+                executor=ParallelExecutor(workers=2, mp_context="fork"),
+                engine="batch-numpy",
+            )
+            assert [o.ok for o in result.outcomes] == [True, False, True, True, True, True]
+            assert "BrokenProcessPool" in (result.outcomes[1].error_type or "")
+            healthy = [0, 2, 3, 4, 5]
+            serial = execute([specs[i] for i in healthy])
+            assert [result.outcomes[i].run for i in healthy] == serial.records()
+        finally:
+            unregister_algorithm("test-replica-killer")
+
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
