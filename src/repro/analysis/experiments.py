@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.analysis.placement import min_pairwise_distance
 from repro.graphs.port_graph import PortGraph
 from repro.sim.activation import build_activation
 from repro.sim.robot import RobotSpec
@@ -200,26 +199,25 @@ def run_gathering(
     )
 
 
-_UNSET = object()
-
-
 def record_from_result(
     algorithm: str,
     graph: PortGraph,
     starts: Sequence[int],
     result,
     scenario_metrics: bool = False,
-    min_pair_distance: Any = _UNSET,
 ) -> GatheringRun:
     """Assemble the flat :class:`GatheringRun` record from a run result.
 
     Shared by :func:`run_gathering` and the batched replica path
     (:func:`repro.runtime.spec.execute_batch_spec`), so a batched record is
     built by the exact code a scalar record is.  ``min_pair_distance``
-    defaults to a fresh computation; batch call sites pass the value from a
-    per-graph :class:`~repro.analysis.placement.PairDistanceMemo` (same
-    integers, fewer BFS passes).
+    comes from the graph's per-process BFS memo
+    (:func:`repro.runtime.graph_cache.pair_memo_for`): the integers a fresh
+    :func:`~repro.analysis.placement.min_pairwise_distance` computes, with
+    one BFS per start node per graph.
     """
+    from repro.runtime import graph_cache  # the runtime imports this module
+
     extra: Dict[str, Any] = {}
     for stats in result.stats.values():
         if "gathered_at_step" in stats:
@@ -232,8 +230,6 @@ def record_from_result(
     # so a cache round-trip re-orders dict keys.  Normalizing here keeps
     # fresh and cached records identical down to row/column order.
     extra = dict(sorted(extra.items()))
-    if min_pair_distance is _UNSET:
-        min_pair_distance = min_pairwise_distance(graph, list(starts))
     return GatheringRun(
         algorithm=algorithm,
         n=graph.n,
@@ -245,7 +241,7 @@ def record_from_result(
         gathered=result.gathered,
         detected=result.detected,
         first_gather_round=result.metrics.first_gather_round,
-        min_pair_distance=min_pair_distance,
+        min_pair_distance=graph_cache.pair_memo_for(graph).min_pairwise_distance(starts),
         extra=extra,
     )
 

@@ -74,8 +74,8 @@ class PairDistanceMemo:
     graph; start nodes recur across replicas, and each recurring node would
     pay a fresh BFS per replica.  This memo keys BFS results by start node —
     distances on a fixed graph are pure, so the answers are bit-identical to
-    the memo-free function (the batched-vs-scalar differential suite pins
-    this).
+    the memo-free function (``tests/test_runtime.py`` pins this against a
+    fresh BFS).
     """
 
     def __init__(self, graph: PortGraph):

@@ -126,12 +126,8 @@ def run_worker(
     random.Random(leases.owner).shuffle(order)
 
     pending = {cell.key: cell for cell in order}
-    failed: set = set()
     held: list = []  # (cell, lease) in pull order — at most one deep
     run_time = 0.0  # summed elapsed of this worker's executed cells
-
-    def todo() -> int:
-        return len(pending) - len(failed)
 
     def pull() -> Iterator[RunSpec]:
         """Claim cells just-in-time and hand their specs to the executor.
@@ -143,9 +139,9 @@ def run_worker(
         rng = random.Random(f"{leases.owner}:backoff")
         idle = 0.0
         attempt = 0
-        while todo():
+        while pending:
             progressed = False
-            for cell in [pending[k] for k in list(pending) if k not in failed]:
+            for cell in list(pending.values()):
                 if cell.key not in pending:
                     continue
                 if cache.get(cell.spec) is not None:
@@ -163,7 +159,7 @@ def run_worker(
                 held.append((cell, lease))
                 yield cell.spec
                 progressed = True
-            if not todo():
+            if not pending:
                 return
             if progressed:
                 attempt = 0
@@ -193,7 +189,6 @@ def run_worker(
             cache.put(outcome.spec, outcome.run)
         else:
             local.failures += 1
-            failed.add(cell.key)
         if chaos is not None:
             chaos.trip("post_write", cell.key)
         leases.release(lease)
@@ -201,8 +196,7 @@ def run_worker(
         run_time += outcome.elapsed
         pending.pop(cell.key, None)
         if progress is not None:
-            done = len(manifest.cells) - todo()
-            progress(outcome, done, len(manifest.cells))
+            progress(outcome, len(manifest.cells) - len(pending), len(manifest.cells))
 
     local.contended = leases.contended
     local.reclaimed = leases.reclaimed

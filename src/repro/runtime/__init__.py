@@ -12,16 +12,18 @@ reports):
   spec's canonical hash, so repeated sweeps skip completed work (with
   optional chunked multi-record files for large batches);
 * :mod:`~repro.runtime.graph_cache` — per-worker graph/CSR memoization, so
-  a batch builds each topology once instead of once per spec;
+  a batch builds each topology once instead of once per spec, plus the
+  per-graph pair-distance memo every record reads;
 * :class:`BatchRunSpec` / ``execute(engine="batch-numpy")`` — replica
-  batching: specs that differ only by seed run as one batch through
-  :class:`repro.sim.batch.ReplicaBatch`, replica by replica through
-  ``Scheduler.run``, sharing one graph build, one set of graph checks and
-  one pair-distance memo while keeping records and cache keys
-  bit-identical;
+  batching: within one executor call (one chunk, under
+  :class:`ParallelExecutor`), specs that differ only by seed run as one
+  batch through :class:`repro.sim.batch.ReplicaBatch`, replica by replica
+  through ``Scheduler.run``, sharing one graph and one set of graph
+  checks while keeping records and cache keys bit-identical;
 * ``execute(engine=...)`` — single-flag simulation-backend dispatch: every
   registered engine (:func:`repro.sim.engines.list_engines`) is selectable
-  by name, with bit-identical records across conforming backends (see
+  by name and takes the same path, one ``executor.run`` call, with
+  bit-identical records across conforming backends (see
   docs/ENGINES.md);
 * :func:`execute` / :func:`run_specs` — the batch API gluing it together.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.analysis.experiments import GatheringRun
 from repro.runtime.cache import ResultCache
@@ -30,7 +30,7 @@ from repro.runtime.executor import (
     SerialExecutor,
     assign_seeds,
 )
-from repro.runtime.spec import RunOutcome, RunSpec, group_into_batches
+from repro.runtime.spec import RunOutcome, RunSpec
 from repro.sim.engines import get_engine
 
 __all__ = ["ExecutionStats", "ExecutionResult", "execute", "run_specs"]
@@ -149,31 +149,22 @@ def execute(
     dispatch knob (see :func:`repro.sim.engines.list_engines` and
     ``docs/ENGINES.md``).  It is an execution parameter like ``executor``:
     it never enters a spec or its cache key, and conforming backends
-    produce bit-identical records, failures, and cache entries.
-
-    * scalar backends (``"reference"``, ``"incremental"``, ``"soa"``, or
-      ``None`` for the default) run every pending spec through
-      :func:`repro.runtime.spec.execute_spec` under that backend;
-    * replica backends (``"batch-list"``, ``"batch-numpy"``,
-      ``"batch-numpy2d"``) group pending specs that differ only by seed
-      into replica batches
-      (:func:`repro.runtime.spec.execute_batch_spec`) — the multi-seed
-      campaign fast path.  Ungroupable specs (non-clean, or groups of one)
-      fall back to the default scalar path, exactly as replica batching
-      always has.  Cache hits short-circuit before grouping, so a
-      partially cached campaign batches only what actually runs.
+    produce bit-identical records, failures, and cache entries.  Every
+    engine takes the same path: one ``executor.run`` call over the
+    pending specs.  Under a replica backend (``"batch-list"``,
+    ``"batch-numpy"``, ``"batch-numpy2d"``) the executor's runner groups
+    specs that differ only by seed into replica batches
+    (:func:`repro.runtime.spec.execute_batch_spec`) — the multi-seed
+    campaign fast path — and runs the rest (non-clean specs, groups of
+    one) on the default engine.  Cache hits short-circuit before
+    dispatch, so a partially cached campaign batches only what actually
+    runs.
     """
     t0 = time.perf_counter()
     if cache_chunk is not None and cache_chunk < 1:
         raise ValueError("cache_chunk must be >= 1")
-    scalar_engine: Optional[str] = None
-    batch_backend: Optional[str] = None
     if engine is not None:
-        engine_cls = get_engine(engine)  # raises ValueError listing names
-        if engine_cls.capabilities.supports_batch:
-            batch_backend = engine_cls.batch_backend
-        else:
-            scalar_engine = engine
+        get_engine(engine)  # raises ValueError listing names
     specs = list(specs)
     if root_seed is not None:
         specs = assign_seeds(specs, root_seed)
@@ -201,15 +192,8 @@ def execute(
     # interrupted batch (Ctrl-C, CI timeout) keeps everything it completed.
     # With cache_chunk, landings buffer instead and flush as chunk files.
     chunk_buffer: List = []
-    total_pending = len(pending)
-    landed = 0
 
     def land(outcome: RunOutcome, done: int, total: int) -> None:
-        # done/total are recomputed here: with batching the executor may be
-        # invoked twice (batches, then singles) and its per-call counters
-        # would restart; ``landed``/``total_pending`` span the whole call.
-        nonlocal landed
-        landed += 1
         if cache is not None and outcome.ok:
             if cache_chunk is None:
                 cache.put(outcome.spec, outcome.run)
@@ -219,36 +203,13 @@ def execute(
                     cache.put_batch(chunk_buffer)
                     chunk_buffer.clear()
         if progress is not None:
-            progress(outcome, landed, total_pending)
+            progress(outcome, done, total)
 
-    executed: List[Tuple[int, RunOutcome]] = []
-    if pending and batch_backend is not None:
-        groups, singles = group_into_batches(pending, backend=batch_backend)
-        # Two dispatch phases: batches first, then scalar leftovers.  With a
-        # parallel executor the singles therefore wait for the batch pool to
-        # drain — a deliberate simplicity trade-off (a unified mixed
-        # dispatch would complicate the executor interface for a phase that
-        # is small whenever batching is worth turning on).
-        if groups:
-            group_results = executor.run_batches(
-                [bspec for _, bspec in groups], progress=land
-            )
-            for (local_idx, _), group_outcomes in zip(groups, group_results):
-                for li, outcome in zip(local_idx, group_outcomes):
-                    executed.append((pending_idx[li], outcome))
-        if singles:
-            single_outcomes = executor.run([s for _, s in singles], progress=land)
-            for (li, _), outcome in zip(singles, single_outcomes):
-                executed.append((pending_idx[li], outcome))
-    elif pending:
-        for i, outcome in zip(
-            pending_idx, executor.run(pending, progress=land, engine=scalar_engine)
-        ):
-            executed.append((i, outcome))
+    executed = executor.run(pending, progress=land, engine=engine)
     if chunk_buffer:
         cache.put_batch(chunk_buffer)
         chunk_buffer.clear()
-    for i, outcome in executed:
+    for i, outcome in zip(pending_idx, executed):
         outcomes[i] = outcome
 
     final = [o for o in outcomes if o is not None]
@@ -257,7 +218,7 @@ def execute(
         executed=len(executed),
         cache_hits=hits,
         failures=sum(1 for o in final if not o.ok),
-        batched=sum(1 for _, o in executed if o.batched),
+        batched=sum(1 for o in executed if o.batched),
         elapsed=time.perf_counter() - t0,
         corrupt=(cache.corrupt - corrupt_before) if cache is not None else 0,
     )

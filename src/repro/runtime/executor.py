@@ -12,6 +12,10 @@ Two interchangeable strategies behind one tiny interface:
   chunks are retried spec-by-spec in fresh pools, so only the spec that
   actually kills its worker is reported as failed.
 
+Both turn specs into outcomes through one runner, :func:`_outcomes`, the
+only place that groups replicas into batches under a replica engine; a
+parallel executor groups within each chunk, with the same records.
+
 Determinism: a simulation's result is a pure function of its spec, so the
 two executors return *identical* outcome lists in submission order, for any
 worker count.  Per-run seed streams are derived from a root seed with
@@ -29,12 +33,13 @@ from dataclasses import replace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.spec import (
-    BatchRunSpec,
     RunOutcome,
     RunSpec,
     execute_batch_spec,
     execute_spec,
+    group_into_batches,
 )
+from repro.sim.engines import resolve_engine
 
 __all__ = [
     "Executor",
@@ -47,7 +52,8 @@ __all__ = [
 ]
 
 #: ``progress(outcome, done_so_far, total)`` — called as outcomes land (in
-#: completion order for parallel executors, submission order for serial).
+#: completion order for parallel executors; in the order the runner yields
+#: them for serial ones).
 ProgressCallback = Callable[[RunOutcome, int, int], None]
 
 
@@ -101,13 +107,31 @@ def replicate_spec(
     return out
 
 
+def _outcomes(specs: Sequence[RunSpec], engine: Optional[str]) -> Iterator[Tuple[int, RunOutcome]]:
+    """Yield ``(index, outcome)`` for every spec as it lands: the runner of
+    every executor.  Under a replica engine (``supports_batch``) each group
+    of specs that differ only by seed runs as one replica batch and the
+    rest run on the default engine; otherwise every spec runs through this
+    module's ``execute_spec`` attribute (tracers patch it)."""
+    engine_cls = resolve_engine(engine)
+    if not engine_cls.capabilities.supports_batch:
+        for i, spec in enumerate(specs):
+            yield i, execute_spec(spec, engine=engine)
+        return
+    groups, singles = group_into_batches(specs, backend=engine_cls.batch_backend)
+    for indices, batch in groups:
+        yield from zip(indices, execute_batch_spec(batch))
+    for i, spec in singles:
+        yield i, execute_spec(spec)
+
+
 class Executor(ABC):
     """Strategy interface: run specs, return outcomes in submission order.
 
-    ``engine`` names a scalar simulation backend (see
-    :func:`repro.sim.engines.list_engines`); executors pass it through to
-    :func:`repro.runtime.spec.execute_spec` unchanged — backend choice is
-    orthogonal to execution strategy, and ``None`` keeps the default.
+    ``engine`` names a simulation backend (see
+    :func:`repro.sim.engines.list_engines`); executors hand it to the one
+    runner, :func:`_outcomes` — backend choice is orthogonal to execution
+    strategy, and ``None`` keeps the default.
     """
 
     @abstractmethod
@@ -131,43 +155,20 @@ class Executor(ABC):
         the campaign worker claims a cell's lease *inside* its generator,
         which means leases are acquired just-in-time, one at a time, and a
         killed worker holds at most one (see :mod:`repro.campaigns.worker`).
-        Default implementation executes in-process; subclasses may overlap
-        execution but must preserve yield order.
+        Each spec runs alone, as :func:`repro.runtime.execute` runs a lone
+        spec.  Default implementation executes in-process; subclasses may
+        overlap execution but must preserve yield order.
         """
         for spec in specs:
-            yield execute_spec(spec, engine=engine)
-
-    def run_batches(
-        self,
-        batches: Sequence[BatchRunSpec],
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[List[RunOutcome]]:
-        """Run replica batches; one outcome list per batch, in order.
-
-        Default implementation is serial and in-process; parallel executors
-        override it to dispatch whole batches to workers (a batch is one
-        unit of work: its replicas share one graph, one set of graph
-        checks and one pair-distance memo).  ``progress`` fires per replica
-        outcome with ``total`` = all replicas across ``batches``.
-        """
-        total = sum(len(b.seeds) for b in batches)
-        done = 0
-        results: List[List[RunOutcome]] = []
-        for batch in batches:
-            results.append(execute_batch_spec(batch))
-            for outcome in results[-1]:
-                done += 1
-                if progress is not None:
-                    progress(outcome, done, total)
-        return results
+            for _, outcome in _outcomes([spec], engine):
+                yield outcome
 
 
 class SerialExecutor(Executor):
-    """In-process execution, one spec at a time, in order.
+    """In-process execution, one spec (or replica batch) at a time.
 
-    ``run`` is a thin eager shell over the base pull loop
-    (:meth:`Executor.iter_run`): it materializes the spec list (so
-    ``total`` is known for progress callbacks) and drains the iterator.
+    ``run`` materializes the spec list (so ``total`` is known for progress
+    callbacks) and drains the runner into submission order.
     """
 
     def run(
@@ -177,17 +178,17 @@ class SerialExecutor(Executor):
         engine: Optional[str] = None,
     ) -> List[RunOutcome]:
         specs = list(specs)
-        outcomes: List[RunOutcome] = []
-        for outcome in self.iter_run(specs, engine=engine):
-            outcomes.append(outcome)
+        outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
+        for done, (i, outcome) in enumerate(_outcomes(specs, engine), 1):
+            outcomes[i] = outcome
             if progress is not None:
-                progress(outcome, len(outcomes), len(specs))
+                progress(outcome, done, len(specs))
         return outcomes
 
 
 def _execute_chunk(specs: List[RunSpec], engine: Optional[str] = None) -> List[RunOutcome]:
     """Worker-side entry point: run one chunk, never raise."""
-    return [execute_spec(s, engine=engine) for s in specs]
+    return SerialExecutor().run(specs, engine=engine)
 
 
 def _pool_kit(mp_context: Optional[str]):
@@ -202,7 +203,8 @@ def _pool_kit(mp_context: Optional[str]):
 
 
 class ParallelExecutor(Executor):
-    """Process-pool execution with chunked dispatch.
+    """Process-pool execution with chunked dispatch; each worker runs its
+    chunk through the runner, so replicas batch within a chunk.
 
     Parameters
     ----------
@@ -241,19 +243,44 @@ class ParallelExecutor(Executor):
         if self.workers == 1 or len(specs) == 1:
             return SerialExecutor().run(specs, progress=progress, engine=engine)
 
+        ProcessPoolExecutor, as_completed, ctx = _pool_kit(self.mp_context)
         chunksize = self.chunksize or max(1, math.ceil(len(specs) / (4 * self.workers)))
-        chunks = [specs[i : i + chunksize] for i in range(0, len(specs), chunksize)]
+        starts = range(0, len(specs), chunksize)
+
         results: List[Optional[RunOutcome]] = [None] * len(specs)
         done = 0
-        for c, outcomes in self._pooled(
-            _execute_chunk, [(chunk, engine) for chunk in chunks], chunks.__getitem__, engine
-        ):
-            start = c * chunksize
-            results[start : start + len(outcomes)] = outcomes
-            for outcome in outcomes:
+
+        def land(start: int, outcomes: List[RunOutcome]) -> None:
+            nonlocal done
+            for offset, outcome in enumerate(outcomes):
+                results[start + offset] = outcome
                 done += 1
                 if progress is not None:
                     progress(outcome, done, len(specs))
+
+        # A worker that dies mid-chunk (OOM-kill, segfault, os._exit) breaks
+        # the whole ProcessPoolExecutor: every unfinished future raises
+        # BrokenProcessPool, including chunks that never ran.  Those chunks
+        # are collected here and re-run one spec at a time in fresh
+        # single-use pools, so only the spec that actually kills its worker
+        # is reported as failed.
+        retry: List[int] = []
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(starts)), mp_context=ctx) as pool:
+            futures = {pool.submit(_execute_chunk, specs[s : s + chunksize], engine): s for s in starts}
+            for future in as_completed(futures):
+                start = futures[future]
+                try:
+                    outcomes = future.result()
+                except Exception:
+                    retry.append(start)
+                    continue
+                # outside the try: a raising progress/cache callback must
+                # propagate, not masquerade as a dead worker
+                land(start, outcomes)
+
+        for start in sorted(retry):
+            for i, spec in enumerate(specs[start : start + chunksize]):
+                land(start + i, [self._run_isolated(spec, ctx, engine)])
 
         if any(r is None for r in results):  # lost future / short chunk: a bug
             raise RuntimeError(
@@ -261,68 +288,6 @@ class ParallelExecutor(Executor):
                 f"{sum(r is None for r in results)} of {len(specs)} specs"
             )
         return [r for r in results if r is not None]
-
-    def run_batches(
-        self,
-        batches: Sequence[BatchRunSpec],
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[List[RunOutcome]]:
-        """Fan whole batches out over worker processes, one per task.
-
-        No chunking: a batch is already a coarse unit of R replicas.  A
-        worker that dies mid-batch poisons only its own batch, which is
-        retried replica-by-replica through the scalar isolation path —
-        records are identical either way, just slower.
-        """
-        batches = list(batches)
-        if not batches:
-            return []
-        if self.workers == 1 or len(batches) == 1:
-            return super().run_batches(batches, progress=progress)
-        total = sum(len(b.seeds) for b in batches)
-        done = 0
-        results: List[List[RunOutcome]] = [[] for _ in batches]
-        for i, outcomes in self._pooled(
-            execute_batch_spec, [(b,) for b in batches], lambda i: batches[i].specs()
-        ):
-            results[i] = outcomes
-            for outcome in outcomes:
-                done += 1
-                if progress is not None:
-                    progress(outcome, done, total)
-        return results
-
-    def _pooled(
-        self,
-        work: Callable[..., List[RunOutcome]],
-        tasks: Sequence[tuple],
-        specs_of: Callable[[int], List[RunSpec]],
-        engine: Optional[str] = None,
-    ) -> Iterator[Tuple[int, List[RunOutcome]]]:
-        """Yield ``(task index, outcomes)`` as each ``work(*task)`` lands.
-
-        A worker that dies mid-task (OOM-kill, segfault, ``os._exit``)
-        breaks the whole pool: every unfinished future raises
-        ``BrokenProcessPool``, including tasks that never ran.  Those tasks
-        are collected here and their specs (``specs_of(index)``) re-run one
-        per fresh single-use pool, so only the spec that actually kills its
-        worker is reported as failed.
-        """
-        ProcessPoolExecutor, as_completed, ctx = _pool_kit(self.mp_context)
-        retry: List[int] = []
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(tasks)), mp_context=ctx
-        ) as pool:
-            futures = {pool.submit(work, *task): i for i, task in enumerate(tasks)}
-            for future in as_completed(futures):
-                try:
-                    outcomes = future.result()
-                except Exception:
-                    retry.append(futures[future])
-                    continue
-                yield futures[future], outcomes
-        for i in sorted(retry):
-            yield i, [self._run_isolated(spec, ctx, engine) for spec in specs_of(i)]
 
     @staticmethod
     def _run_isolated(spec: RunSpec, ctx, engine: Optional[str] = None) -> RunOutcome:
@@ -332,7 +297,7 @@ class ParallelExecutor(Executor):
 
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             try:
-                return pool.submit(execute_spec, spec, engine).result()
+                return pool.submit(_execute_chunk, [spec], engine).result()[0]
             except Exception as exc:
                 return RunOutcome(
                     spec=spec, error=str(exc) or repr(exc), error_type=type(exc).__name__

@@ -16,11 +16,11 @@ topology at most once per batch and every spec after the first reuses both
 the adjacency and the lazily-compiled CSR kernel.
 
 The same memo holds two graph-pure answers keyed by graph identity: the
-pairwise start-distance memos (:func:`pair_memo_for`) and the UXS
-certifications that passed (:func:`is_certified`), so the specs of one
-memoized graph pay each once per process.  :func:`clear` drops them all,
-and with them the exploration-walk rows that the scheduler keeps for the
-current graph (:func:`repro.graphs.csr.walk_table`).
+pairwise start-distance memos (:func:`pair_memo_for`, which every record
+reads) and the UXS certifications that passed (:func:`is_certified`), so
+the specs of one memoized graph pay each once per process.  :func:`clear`
+drops them all, and with them the exploration-walk rows that the
+scheduler keeps for the current graph (:func:`repro.graphs.csr.walk_table`).
 
 ``benchmarks/bench_sweep.py`` measures the wall-clock effect and writes
 ``BENCH_sweep.json``; :func:`disabled` is the benchmark's (and any
@@ -101,11 +101,12 @@ def pair_memo_for(graph: PortGraph):
     """The shared :class:`~repro.analysis.placement.PairDistanceMemo` for
     ``graph``.
 
-    Batched campaigns compute a min-pairwise start distance per replica
-    over one shared graph; the underlying BFS trees are pure functions of
-    the graph, so one memo serves every replica (and every batch) in the
-    process.  Answers are bit-identical to a fresh memo — the memo class
-    itself guarantees equality with the memo-free path.
+    Every record (:func:`repro.analysis.experiments.record_from_result`)
+    reads its min-pairwise start distance here; the underlying BFS trees
+    are pure functions of the graph, so one memo serves every run, scalar
+    or batched, on that graph in the process.  Answers are bit-identical
+    to a fresh memo — the memo class itself guarantees equality with the
+    memo-free path.
     """
     memo = _pair_memos.get(id(graph))
     if memo is not None and memo.graph is graph:

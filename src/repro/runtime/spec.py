@@ -42,7 +42,7 @@ from repro.core.uxs_gathering import uxs_gathering_program
 from repro.ext.faults import FaultPlan
 from repro.graphs.port_graph import PortGraph
 from repro.graphs.traversal import require_connected
-from repro.runtime.graph_cache import graph_for, pair_memo_for
+from repro.runtime.graph_cache import graph_for
 from repro.sim.activation import build_activation
 from repro.sim.batch import make_replica_batch
 from repro.sim.robot import RobotSpec
@@ -273,10 +273,12 @@ class RunFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _validate_and_graph(spec: RunSpec) -> PortGraph:
-    """The seed-independent half of :func:`materialize`: name validation,
-    activation/fault checks, and the (memoized) graph build.  A batch of
-    seed-replicas shares one call."""
+def materialize(spec: RunSpec):
+    """Rebuild the live objects a spec describes.
+
+    Returns ``(graph, starts, labels, factory_for)`` ready for
+    :func:`repro.analysis.experiments.run_gathering`.
+    """
     if spec.algorithm not in ALGORITHM_BUILDERS:
         raise ValueError(
             f"unknown algorithm {spec.algorithm!r}; known: {sorted(ALGORITHM_BUILDERS)}"
@@ -293,12 +295,7 @@ def _validate_and_graph(spec: RunSpec) -> PortGraph:
         plan.validate_for(spec.k)
     # per-process memo: a batch naming few topologies and many seeds builds
     # each graph (and its compiled CSR) once per worker, not once per spec
-    return graph_for(spec.family, dict(spec.graph))
-
-
-def _materialize_parts(spec: RunSpec, graph: PortGraph):
-    """The seed-dependent half of :func:`materialize`: placement, labels,
-    and the program factory — per replica in a batch."""
+    graph = graph_for(spec.family, dict(spec.graph))
     starts = PLACEMENT_BUILDERS[spec.placement](
         graph, spec.k, spec.resolved_seed(spec.placement_args), dict(spec.placement_args)
     )
@@ -316,17 +313,6 @@ def _materialize_parts(spec: RunSpec, graph: PortGraph):
     def factory_for():
         return builder(opts)
 
-    return starts, labels, factory_for
-
-
-def materialize(spec: RunSpec):
-    """Rebuild the live objects a spec describes.
-
-    Returns ``(graph, starts, labels, factory_for)`` ready for
-    :func:`repro.analysis.experiments.run_gathering`.
-    """
-    graph = _validate_and_graph(spec)
-    starts, labels, factory_for = _materialize_parts(spec, graph)
     return graph, starts, labels, factory_for
 
 
@@ -475,17 +461,18 @@ def group_into_batches(
 def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
     """Run a batch of seed-replicas; outcomes in seed order.
 
-    The scalar path's per-spec work is split: name/graph validation, UXS
-    certification, and the connectivity check run **once** for the shared
-    graph; placement, labels, and program construction run per replica;
-    the simulation itself runs through :class:`repro.sim.batch.
-    ReplicaBatch`, replica by replica.  Failures are isolated exactly as
-    in :func:`execute_spec` — per replica, message-identical — and
+    Each replica is built by :func:`materialize`, as a scalar run is (the
+    graph memo hands every replica the same graph).  The graph checks, UXS
+    certification and connectivity, run **once** for the batch; the
+    simulation runs through :class:`repro.sim.batch.ReplicaBatch`, replica
+    by replica; and each record comes from :func:`record_from_result`, as
+    every record does.  Failures are isolated exactly as in
+    :func:`execute_spec` — per replica, message-identical — and
     per-outcome ``elapsed`` is the batch wall-clock split evenly (the
-    shared validation, checks and kernel front-run belong to no one
-    replica).
+    shared checks and kernel front-run belong to no one replica).
     """
     specs = batch.specs()
+    template = batch.template
     t0 = time.perf_counter()
 
     def errored(spec: RunSpec, exc: Exception) -> RunOutcome:
@@ -493,19 +480,13 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
             spec=spec, error=str(exc), error_type=type(exc).__name__, batched=True
         )
 
-    try:
-        template = specs[0]
-        graph = _validate_and_graph(template)
-    except Exception as exc:
-        return [errored(s, exc) for s in specs]
-
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
     fleets: List[List[RobotSpec]] = []
     fleet_idx: List[int] = []
     starts_of: Dict[int, List[int]] = {}
     for i, spec in enumerate(specs):
         try:
-            starts, labels, factory_for = _materialize_parts(spec, graph)
+            graph, starts, labels, factory_for = materialize(spec)
             if not starts:
                 raise ValueError("need at least one robot")
             factory = factory_for()
@@ -519,6 +500,8 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
         starts_of[i] = list(starts)
         fleets.append(fleet)
         fleet_idx.append(i)
+    if not fleets:
+        return outcomes
 
     # Graph-pure checks, shared by every replica; a failure here fails each
     # healthy replica identically.  (Certification passes are remembered
@@ -531,7 +514,7 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
     except Exception as exc:
         for i in fleet_idx:
             outcomes[i] = errored(specs[i], exc)
-        return [o for o in outcomes if o is not None]
+        return outcomes
 
     engine = make_replica_batch(
         graph, fleets, strict=template.strict, backend=batch.backend
@@ -542,18 +525,11 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
     replica_outcomes = engine.run(
         max_rounds=max_rounds, stop_on_gather=template.stop_on_gather
     )
-    memo = pair_memo_for(graph)  # shared per process; answers bit-identical
     elapsed = (time.perf_counter() - t0) / len(specs)
     for i, rep in zip(fleet_idx, replica_outcomes):
         spec = specs[i]
         if rep.ok:
-            rec = record_from_result(
-                spec.algorithm,
-                graph,
-                starts_of[i],
-                rep.result,
-                min_pair_distance=memo.min_pairwise_distance(starts_of[i]),
-            )
+            rec = record_from_result(spec.algorithm, graph, starts_of[i], rep.result)
             outcomes[i] = RunOutcome(spec=spec, run=rec, elapsed=elapsed, batched=True)
         else:
             outcomes[i] = RunOutcome(
@@ -563,7 +539,7 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
                 elapsed=elapsed,
                 batched=True,
             )
-    return [o for o in outcomes if o is not None]
+    return outcomes
 
 
 def execute_spec(spec: RunSpec, engine: Optional[str] = None) -> RunOutcome:

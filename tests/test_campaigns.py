@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,8 @@ from repro.campaigns import (
     status_of,
 )
 from repro.cli import main
-from repro.runtime import ResultCache, RunSpec, SerialExecutor
+from repro.runtime import ResultCache, RunSpec, SerialExecutor, execute
+from repro.scenarios import get_scenario
 
 
 def grid(ns=(6, 8), seed=0):
@@ -194,6 +196,33 @@ class TestWorker:
         assert a.executed == 4 and b.executed == 0
         assert b.cache_hits == 4
         assert status_of(manifest, tmp_path).complete
+
+    def test_failed_cell_is_tried_once_then_the_worker_returns(self, tmp_path):
+        """A failed cell leaves the worker's pending set once: no backoff
+        on a grid with nothing left, and progress counts it once."""
+        specs = grid((6, 8, 10))
+        specs[1] = replace(specs[1], max_rounds=5)
+        manifest = CampaignManifest.from_specs(specs)
+        seen = []
+        stats = run_worker(manifest, ResultCache(tmp_path), idle_timeout=1,
+                           progress=lambda outcome, done, total: seen.append((done, total)))
+        assert (stats.executed, stats.failures, stats.retries) == (3, 1, 0)
+        assert seen == [(1, 3), (2, 3), (3, 3)]
+        assert status_of(manifest, tmp_path).done == 2
+
+    def test_replica_engine_runs_each_cell_as_execute_does(self, tmp_path):
+        """Under a replica engine a campaign cell runs as ``execute`` runs a
+        lone spec, so an activation-model cell runs on the default engine
+        instead of failing."""
+        clean = RunSpec("faster", "ring", {"n": 8}, placement="dispersed", k=3)
+        specs = [get_scenario("adversarial-activation").specs[0]]
+        specs += [replace(clean, seed=s) for s in range(2)]
+        manifest = CampaignManifest.from_specs(specs)
+        cache = ResultCache(tmp_path)
+        stats = run_worker(manifest, cache, engine="batch-numpy", idle_timeout=1)
+        assert (stats.executed, stats.failures) == (3, 0)
+        for outcome in execute(specs, engine="batch-numpy").outcomes:
+            assert cache.get(outcome.spec).to_dict() == outcome.run.to_dict()
 
     def test_multiprocess_campaign_completes(self, tmp_path):
         manifest = CampaignManifest.from_specs(grid((6, 8, 10)))

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.experiments import record_from_result
+from repro.analysis.placement import min_pairwise_distance
 from repro.runtime import (
     ParallelExecutor,
     ResultCache,
@@ -16,11 +19,20 @@ from repro.runtime import (
     derive_seed,
     execute,
     execute_spec,
+    get_engine,
+    graph_cache,
+    list_engines,
     register_algorithm,
     run_specs,
     unregister_algorithm,
 )
+from repro.scenarios import get_scenario
+from repro.search.corpus import replayable_engines
 from repro.sim.actions import Action
+from repro.sim.robot import RobotSpec
+from repro.sim.world import World
+from repro.testing.strategies import placements, random_port_graph, scripted_factory
+from tests.conftest import scaled_examples
 
 
 def small_batch():
@@ -158,6 +170,37 @@ class TestExecutors:
         with pytest.raises(ValueError):
             ParallelExecutor(workers=0)
 
+    @pytest.mark.parametrize("engine", list_engines())
+    def test_execute_makes_one_run_call_under_every_engine(self, engine):
+        """Replicas and a non-clean spec reach the executor in one ``run``
+        call under every engine, and come back as the default engine's
+        records (batched under a replica engine)."""
+        from dataclasses import replace
+
+        class RecordingExecutor(SerialExecutor):
+            def __init__(self):
+                self.calls = []
+
+            def run(self, specs, progress=None, engine=None):
+                self.calls.append(list(specs))
+                return super().run(specs, progress=progress, engine=engine)
+
+        base = RunSpec("faster", "ring", {"n": 8}, placement="dispersed", k=3)
+        activation = get_scenario("adversarial-activation").specs[0]
+        specs = [replace(base, seed=s) for s in range(4)] + [activation]
+        executor = RecordingExecutor()
+        result = execute(specs, executor=executor, engine=engine)
+        assert executor.calls == [specs]
+
+        default = execute(specs)
+        assert [o.run for o in result.outcomes[:4]] == default.records()[:4]
+        if engine in replayable_engines(activation):
+            assert result.outcomes[4].run == default.outcomes[4].run
+        else:  # the seed oracle has no activation models
+            assert result.outcomes[4].error_type == "UnsupportedFeature"
+        batched = get_engine(engine).capabilities.supports_batch
+        assert [o.batched for o in result.outcomes] == [batched] * 4 + [False]
+
 
 @pytest.fixture
 def violator():
@@ -258,7 +301,7 @@ class TestFailureIsolation:
             specs += [replace(base, seed=s) for s in range(3)]
             result = execute(
                 specs,
-                executor=ParallelExecutor(workers=2, mp_context="fork"),
+                executor=ParallelExecutor(workers=2, chunksize=3, mp_context="fork"),
                 engine="batch-numpy",
             )
             assert [o.ok for o in result.outcomes] == [True, False, True, True, True, True]
@@ -481,6 +524,31 @@ class TestGraphMemoization:
         after = rows()
         assert after == before
         assert all(after[key] is not before[key] for key in after)
+
+
+@settings(max_examples=scaled_examples(60), deadline=None)
+@given(data=st.data())
+def test_pair_memo_matches_a_fresh_bfs(data):
+    """Every record reads its pair distance from the per-graph memo; the
+    memo (warm, and cold after ``clear``) and ``record_from_result`` on a
+    graph the memo has never seen answer what a fresh BFS does, for start
+    lists with repeats and with fewer than two nodes."""
+    graph = data.draw(random_port_graph())
+    starts = data.draw(st.integers(0, 6).flatmap(lambda k: placements(graph, k)))
+    fresh = min_pairwise_distance(graph, starts)
+    graph_cache.clear()
+    if starts:
+        robots = [
+            RobotSpec(label=i + 1, start=s, factory=scripted_factory([]))
+            for i, s in enumerate(starts)
+        ]
+        result = World(graph, robots).run(max_rounds=10)
+        assert record_from_result("probe", graph, starts, result).min_pair_distance == fresh
+    memo = graph_cache.pair_memo_for(graph)
+    assert memo.min_pairwise_distance(starts) == fresh
+    graph_cache.clear()
+    assert graph_cache.pair_memo_for(graph) is not memo
+    assert graph_cache.pair_memo_for(graph).min_pairwise_distance(starts) == fresh
 
 
 class TestChunkedCache:
