@@ -5,9 +5,10 @@ cache directory.  N workers — any mix of processes and hosts pointed at
 the same directory — consume one grid cooperatively with **no coordinator
 process**: each worker scans the cell list in its own (owner-seeded)
 order, skips cells whose keys already resolve in the cache, claims a
-pending cell's lease, executes it, writes the result through, and
-releases.  The cache write is the only commit point; everything else can
-die at any instruction:
+pending cell's lease, checks the cache once more (another worker may have
+written the cell and released its lease in between), executes it, writes
+the result through, and releases.  The cache write is the only commit
+point; everything else can die at any instruction:
 
 * killed **before the claim** — nothing happened;
 * killed **holding the lease, before the write** — the lease goes stale
@@ -154,6 +155,17 @@ def run_worker(
                 lease = leases.try_claim(cell.key)
                 if lease is None:
                     continue
+                # another worker may have written the cell and released its
+                # lease since the check above; a corrupt entry still misses,
+                # and a miss was already counted, by the check above
+                counted = cache.misses, cache.corrupt
+                if cache.get(cell.spec) is not None:
+                    leases.release(lease)
+                    pending.pop(cell.key, None)
+                    local.cache_hits += 1
+                    progressed = True
+                    continue
+                cache.misses, cache.corrupt = counted
                 if chaos is not None:
                     chaos.trip("claimed", cell.key)
                 held.append((cell, lease))

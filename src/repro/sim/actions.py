@@ -118,10 +118,11 @@ class Action:
     ):
         self.kind = kind
         # Precomputed dispatch token for the scheduler's hot loop: the kind
-        # when the action carries no card and no note (the overwhelmingly
-        # common case), -1 otherwise.  One comparison there replaces a
-        # card check plus a note check per activation.
-        self.hot_kind = kind if card is None and note is None else -1
+        # when the action needs no preparation (the overwhelmingly common
+        # case), -1 for a walk or an action carrying a card or a note.  One
+        # comparison there replaces a walk, a card and a note check per
+        # activation; a prepared action then dispatches on its kind.
+        self.hot_kind = kind if card is None and note is None and kind != WALK else -1
         self.port = port
         self.target = target
         self.wake_round = wake_round

@@ -49,34 +49,43 @@ call per round (``_step_soa(self.round + 1)``; a class that sets
 ``_uses_soa = False`` makes it through :meth:`_step_general`), and a
 replica batch runs each replica through ``run``.  The frame binds the CSR and
 the arrays once, keeps the round counter, the occupancy snapshot and the
-deferred counters in locals, reuses its scratch lists across rounds, and
-caches the all-gathered card tuple until the next cold action.  It
-applies moves *inline* during the observation sweep (legal because an
+deferred counters in locals, and reuses its scratch lists across rounds.
+It applies moves *inline* during the observation sweep (legal because an
 observation depends on other robots only through start-of-round
 occupancy, which is read from pre-round state), detects co-location
 with one C-level ``set(pos)`` per round instead of per-move occupancy
 bookkeeping, and resolves the dominant "one shared node" case with a
 closed-form duplicate extraction (``sum(pos) - sum(prev_pos_set)``).
-Rare action kinds (sleep/persistent follow/terminate/cards) drop into
-cold helpers that reconstruct whatever the inline sweep skipped.  The
-sweep dispatches a card-less ``follow_once`` itself; after the sweep
-each such follower takes its leader's port, read off the reverse of the
-leader's entry edge (exact: port graphs have no self-loops), unless the
-round's follows chain or persistent followers exist.  While persistent
-followers or ``wake_on_meet`` sleepers exist, the sweep records its
-movers from round start: persistent followers then *ride* their
-leader's move through a cached, label-sorted list of each leader's
-transitive followers (its **riders**, rebuilt only when the
-leader->followers index changes), and the round's arrivals are tested
-against a cached set of the meet-sleepers' nodes (dropped whenever the
-meet-sleeper count changes); only a hit scans the robots and flags every
-meet-sleeper on a node that received an arrival to wake.  A declared
-walk (:meth:`Action.walk`) takes its first step where it is yielded and
-then swaps the robot's ``_sends`` entry for a cursor (:class:`_Walker`)
-that returns the next move while the cards match and hands back to the
-program otherwise; only the seed scheduler expands walks into per-round
-moves (:func:`~repro.sim.robot.expand_walks`).  When every active robot
-is a walker, whole stretches of rounds run in :meth:`_soa_walk_stretch`
+
+The sweep has one copy of each rule:
+
+* **One dispatch.**  An action's precomputed ``hot_kind`` is its kind,
+  or -1 for a walk or an action carrying a card or a note.  Those are
+  prepared first -- a walk installs its cursor and yields its next step
+  as a plain move (:meth:`_soa_start_walk`), a card is published and a
+  note recorded (:meth:`_soa_publish`) -- and then take the same move,
+  stay and ``follow_once`` branches as every other action.  Only sleeps,
+  persistent follows and terminates leave the sweep (:meth:`_soa_cold`).
+* **One mover record.**  Every move the sweep applies, and every
+  follower move, is recorded in label order; an error in the sweep
+  undoes exactly those moves, and the round's arrivals are tested
+  against a cached set of the meet-sleepers' nodes (dropped whenever the
+  meet-sleeper count changes); only a hit scans the robots and flags
+  every meet-sleeper on a node that received an arrival to wake.
+* **One follower loop.**  This round's moving followers come in label
+  order, each with the mover at the root of its chain: one-round
+  followers of leaders that are not following, as the sweep listed
+  them, or else the full propagation (:meth:`_soa_follow_roots`).  Each
+  takes its root's port, read off the reverse of the root's entry edge
+  (exact: port graphs have no self-loops, and no follower move changes a
+  root).
+
+A declared walk (:meth:`Action.walk`) swaps the robot's ``_sends`` entry
+for a cursor (:class:`_Walker`) that returns the next move while the
+cards match and hands back to the program otherwise; only the seed
+scheduler expands walks into per-round moves
+(:func:`~repro.sim.robot.expand_walks`).  When every active robot is a
+walker, whole stretches of rounds run in :meth:`_soa_walk_stretch`
 without an observation, a send or a step: a search over the walks'
 trajectory rows (:func:`~repro.graphs.csr.walk_table`) finds where the
 stretch ends.
@@ -88,12 +97,13 @@ Three hooks run once per round, never once per robot:
   (:meth:`_select`) picks the robots the sweep activates, and only those
   gain an active round.  ``activation=None`` (the default) skips the
   policy entirely and defers the active-round increments.
-* **Tracing**: a traced run records its movers from round start and its
-  follower arrivals, and records the round's ``move`` events once its
-  follows resolve, in the seed's order (movers, then followers, each in
-  label order), from a ``finally``, so the followers applied before an
-  invalid inherited port raises stay in the trace.  The cold helpers
-  record every other event.
+* **Tracing**: a traced run records the round's ``move`` events from the
+  mover record once its followers have moved (each robot's port read off
+  the reverse of its entry edge), in the seed's order
+  (movers, then followers, each in label order), from a ``finally``, so
+  the followers applied before an invalid inherited port raises stay in
+  the trace.  The helpers record every other event, a ``note`` before
+  any event of its action.
 * **The walk stretch** is off under tracing, replay and an activation
   model, which observe every round.
 
@@ -198,11 +208,10 @@ class Scheduler:
         self._followers_of: Dict[int, List[RobotState]] = {}
         # the rider cache: rid of every leader that is not itself following
         # -> label-sorted rids of its transitive persistent followers; None
-        # once _followers_of changes (the next SoA round with followers
-        # rebuilds it)
+        # once _followers_of changes (the next walk stretch rebuilds it)
         self._riders: Optional[Dict[int, List[int]]] = None
-        # robots currently SLEEPING with wake_on_meet; while zero, the move
-        # loop skips arrival tracking entirely
+        # robots currently SLEEPING with wake_on_meet; while zero, the round
+        # commit skips the arrival test entirely
         self._meet_sleepers = 0
         # the nodes those sleepers occupy (sleepers never move); None once
         # _meet_sleepers changes (the next SoA commit with movers rebuilds it)
@@ -506,7 +515,6 @@ class Scheduler:
         # scratch shared by every round of the frame
         prev_pos = pos[:]
         movers_i: List[int] = []
-        movers_p: List[int] = []
         terminators: List[int] = []
         # this round's one-round follows: follower rids in label order, and
         # their leaders' rids
@@ -516,9 +524,6 @@ class Scheduler:
         # deferred because the sweep iterates the active list itself
         deactivated: List[int] = []
         dup_cards: Optional[Tuple[dict, ...]] = None
-        # every card in label order, for all-gathered rounds; a cold action
-        # (the only way to publish a card) drops it
-        all_cards: Optional[Tuple[dict, ...]] = None
         try:
             while True:
                 # --- wake-ups and fast-forward jumps --------------------
@@ -557,21 +562,14 @@ class Scheduler:
                 # --- start-of-round co-location snapshot ----------------
                 # excess == 0: every node is singly occupied and every
                 # observation is the robot's own persistent card tuple.
-                # excess == k - 1: every robot shares one node (a gathered
-                # group riding its leader), whose cards are every card in
-                # label order.  excess == 1: exactly one node holds exactly
-                # two robots; extract it in closed form from the previous
-                # round's position set (no per-node bookkeeping).
-                # Otherwise build the shared-node card map in one sweep.
+                # excess == 1: exactly one node holds exactly two robots;
+                # extract it in closed form from the previous round's
+                # position set (no per-node bookkeeping).  Otherwise build
+                # the shared-node card map in one sweep.
                 excess = nrob - occupied
                 shared: Optional[Dict[int, Tuple[dict, ...]]] = None
                 if excess == 0:
                     dup = -1
-                elif excess == nrob - 1:
-                    dup = pos[0]
-                    if all_cards is None:
-                        all_cards = tuple([o[0] for o in own])
-                    dup_cards = all_cards
                 elif excess == 1:
                     dup = sum(pos) - sum(posset)
                     i1 = pos.index(dup)
@@ -599,23 +597,16 @@ class Scheduler:
                             shared[node] = tuple(own[q][0] for q in rids)
                         t += 1
 
-                # Riders, meet-sleeper wakes and traces need this round's
-                # movers.  The sweep records them from round start while
-                # followers or meet-sleepers exist or the run is traced;
-                # otherwise a persistent follow or meet-sleep appearing
-                # mid-sweep reconstructs them from the pre-round positions
-                # (port graphs have no self-loops, so "position changed"
-                # <=> "moved", and the reverse of the entry edge gives the
-                # departure port).  One-round follows need no movers: each
-                # follower reads its leader's port the same way.
+                # The sweep records every robot it moves in movers_i, in
+                # label order: the followers' chains start from them,
+                # meet-sleepers wake on their arrivals and a traced run
+                # records them.
                 prev_pos[:] = pos
                 if activation is None:
                     acting = active
                     pend += 1
                 else:
                     acting = self._select(active, rnd)
-                track = True if followers_of or trace is not None else self._meet_sleepers > 0
-                cold = False
                 try:
                     for i in acting:
                         node = pos[i]
@@ -642,6 +633,14 @@ class Scheduler:
                                     f"robot {labels[i]}: yielded None instead of an Action"
                                 ) from None
                             raise
+                        if kind < 0:
+                            # a walk, or an action carrying a card or a
+                            # note: prepare it, then dispatch it below
+                            if a.kind == WALK:
+                                a = self._soa_start_walk(i, a)
+                            else:
+                                self._soa_publish(i, a, rnd)
+                            kind = a.kind
                         if kind == MOVE:
                             p = a.port
                             try:
@@ -657,9 +656,7 @@ class Scheduler:
                             pos[i] = nbr[j]
                             entry[i] = ent[j]
                             mvs[i] += 1
-                            if track:
-                                movers_i.append(i)
-                                movers_p.append(p)
+                            movers_i.append(i)
                         elif kind != STAY:
                             if kind == FOLLOW_ONCE:
                                 # the target is judged on pre-round positions,
@@ -679,105 +676,62 @@ class Scheduler:
                             # _soa_cold may flush the active-round counter
                             self._ar_pending += pend
                             pend = 0
-                            cold = True
-                            track = self._soa_cold(
-                                i, a, rnd, track,
-                                movers_i, movers_p, terminators,
-                                followers_once, once_leaders,
-                                deactivated, prev_pos,
-                            )
+                            self._soa_cold(i, a, rnd, terminators, deactivated, prev_pos)
                 except BaseException:
                     # as if the round's moves had not applied yet, as in
                     # the seed, which applies them once every robot acted
-                    self._undo_sweep_moves(prev_pos)
+                    self._undo_sweep_moves(movers_i, prev_pos)
                     raise
 
-                if cold:
-                    all_cards = None
-                    if deactivated:
-                        for rid in deactivated:
-                            active.remove(rid)
-                        deactivated.clear()
+                if deactivated:
+                    for rid in deactivated:
+                        active.remove(rid)
+                    deactivated.clear()
 
                 # --- followers take their leaders' moves ----------------
-                # One-round followers of leaders that are not following
-                # take the leader's port, read off the reverse of its entry
-                # edge; a single mover carrying riders (the paper's Lemma-4
-                # groups) hands its port to its cached rider list.  Both
-                # apply in label order (the seed's order) and check
-                # each inherited port against the follower's own node (a
-                # non-co-located follower can inherit a port its node
-                # lacks).  Chained one-round follows, one-round follows next
-                # to persistent followers, and several rider carriers take
-                # the full propagation.
+                # This round's moving followers, in label order (the
+                # seed's order), each with the mover at the root of its
+                # chain: one-round followers of leaders that are not
+                # following, as the sweep listed them; otherwise the full
+                # propagation.  One loop applies them: each follower takes
+                # its root's port, read off the reverse of the root's entry
+                # edge (no follower move changes a root), and each
+                # inherited port is checked against the follower's own
+                # node (a non-co-located follower can inherit a port its
+                # node lacks).
                 try:
-                    if followers_once:
-                        if followers_of or not set(followers_once).isdisjoint(once_leaders):
-                            if not track:
-                                self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
-                            self._soa_resolve_follows(
-                                movers_i, movers_p, followers_once, once_leaders
-                            )
+                    if followers_once or (followers_of and movers_i):
+                        if not followers_of and set(followers_once).isdisjoint(once_leaders):
+                            fl, roots = followers_once, once_leaders
                         else:
-                            meet = trace is not None or self._meet_sleepers
-                            for f, l in zip(followers_once, once_leaders):
-                                node = pos[l]
-                                if node == prev_pos[l]:
-                                    continue  # the leader did not move
-                                p = ent[row[node] + entry[l]]
-                                node = pos[f]
-                                if not 0 <= p < deg[node]:
-                                    raise PortGraphError(
-                                        f"node {node} has degree {deg[node]}; port {p} is invalid"
-                                    )
-                                j = row[node] + p
-                                pos[f] = nbr[j]
-                                entry[f] = ent[j]
-                                mvs[f] += 1
-                                if meet:
-                                    movers_i.append(f)
-                                    movers_p.append(p)
+                            fl, roots = self._soa_follow_roots(
+                                movers_i, followers_once, once_leaders
+                            )
+                        for f, l in zip(fl, roots):
+                            node = pos[l]
+                            if node == prev_pos[l]:
+                                continue  # a one-round leader that stayed
+                            p = ent[row[node] + entry[l]]
+                            node = pos[f]
+                            if not 0 <= p < deg[node]:
+                                raise PortGraphError(
+                                    f"node {node} has degree {deg[node]}; port {p} is invalid"
+                                )
+                            j = row[node] + p
+                            pos[f] = nbr[j]
+                            entry[f] = ent[j]
+                            mvs[f] += 1
+                            movers_i.append(f)
                         followers_once.clear()
                         once_leaders.clear()
-                    elif followers_of and movers_i:
-                        riders = self._riders
-                        if riders is None:
-                            riders = self._build_riders()
-                        group = None
-                        if len(movers_i) == 1:  # a lone leader: no scan
-                            group = riders.get(movers_i[0])
-                            p = movers_p[0]
-                        else:
-                            carriers = [k for k, i in enumerate(movers_i) if i in riders]
-                            if len(carriers) == 1:
-                                k = carriers[0]
-                                group = riders[movers_i[k]]
-                                p = movers_p[k]
-                            elif carriers:
-                                self._soa_resolve_follows(movers_i, movers_p, (), ())
-                        if group is not None:
-                            # rider arrivals matter only to meet-sleepers
-                            # and traces
-                            meet = trace is not None or self._meet_sleepers
-                            for f in group:
-                                node = pos[f]
-                                if not 0 <= p < deg[node]:
-                                    raise PortGraphError(
-                                        f"node {node} has degree {deg[node]}; port {p} is invalid"
-                                    )
-                                j = row[node] + p
-                                pos[f] = nbr[j]
-                                entry[f] = ent[j]
-                                mvs[f] += 1
-                                if meet:
-                                    movers_i.append(f)
-                                    movers_p.append(p)
                 finally:
                     # the seed records each move as it applies it, so the
-                    # followers applied before an invalid port raises stay
+                    # followers applied before an invalid port raises stay;
+                    # the port a robot left by is the reverse of its entry
                     if trace is not None:
-                        for i, p in zip(movers_i, movers_p):
-                            trace.record(rnd, "move", labels[i], (p, entry[i]))
+                        for i in movers_i:
+                            e = entry[i]
+                            trace.record(rnd, "move", labels[i], (ent[row[pos[i]] + e], e))
 
                 # --- commit occupancy, wake meet-sleepers ---------------
                 # Arrivals are tested against the meet-sleepers' nodes;
@@ -794,7 +748,6 @@ class Scheduler:
                                 self._soa_wake_meet(movers_i)
                                 break
                     movers_i.clear()
-                    movers_p.clear()
 
                 # --- terminations + cascade -----------------------------
                 if terminators:
@@ -830,122 +783,79 @@ class Scheduler:
             self._ar_pending += pend
             metrics.rounds_executed += executed
 
-    # -- cold paths: the SoA loop's rare actions -------------------------
-    def _soa_publish(self, i: int, action: Action) -> None:
-        """Card publication: facade + own-tuple update.
+    # -- the sweep's rarer actions -----------------------------------------
+    def _soa_publish(self, i: int, action: Action, rnd: int) -> None:
+        """Publish the card of an action carrying a card or a note, and
+        record its note on a traced run (before any event of the action
+        itself, as the seed does).
 
         Updating ``own`` mid-sweep is safe: the publisher's own
         observation already happened, any co-located robot's card tuple
         was snapshotted at round start, and next round rebuilds from the
         new ``own`` tuple.
         """
-        card = dict(action.card)
-        card["id"] = self._labels[i]  # the label is not forgeable
-        self.robots[i].card = card
-        self._own[i] = (card,)
-        bits = card_bits(card)
-        if bits > self.metrics.max_card_bits:
-            self.metrics.max_card_bits = bits
+        if action.card is not None:
+            card = dict(action.card)
+            card["id"] = self._labels[i]  # the label is not forgeable
+            self.robots[i].card = card
+            self._own[i] = (card,)
+            bits = card_bits(card)
+            if bits > self.metrics.max_card_bits:
+                self.metrics.max_card_bits = bits
+        if action.note and self.trace is not None:
+            self.trace.record(rnd, "note", self._labels[i], action.note)
 
-    def _undo_sweep_moves(self, prev_pos: List[int]) -> None:
+    def _soa_start_walk(self, i: int, walk: Action) -> Action:
+        """Hand robot ``i``'s send slot to a cursor that runs ``walk`` (see
+        :class:`_Walker`) and return the walk's next step as a plain move,
+        which the sweep applies like any move."""
+        offsets = walk.offsets
+        s = walk.steps
+        if s >= len(offsets):
+            raise ProtocolViolation(f"robot {self._labels[i]}: walk already complete")
+        node = self._pos[i]
+        p = ((self._entry[i] if s else 0) + offsets[s]) % self._csr.degree[node]
+        if not s:
+            walk.start = node
+        walker = _Walker(self, i, walk, s + 1, self._obs[i].cards)
+        self._walkers[i] = walker
+        self._sends[i] = walker.step
+        return Action.move(p)
+
+    def _undo_sweep_moves(self, movers_i: List[int], prev_pos: List[int]) -> None:
         """Put back every robot the raising sweep of this round moved.
 
-        Each robot moves at most once in a sweep, and port graphs have no
-        self-loops, so ``pos != prev_pos`` is exactly "moved": its node
-        and move count go back, and its entry port is the one its
-        observation was given this round.  Runs only on the path that
-        raises; errors raised later, while follows resolve, keep the moves
-        already applied, as the seed does.
+        The sweep records each move it applies, and each robot moves at
+        most once in a sweep: its node and move count go back, and its
+        entry port is the one its observation was given this round.  Runs
+        only on the path that raises; errors raised later, while follower
+        moves apply, keep the moves already applied, as the seed does.
         """
         pos = self._pos
         entry = self._entry
         mvs = self._moves
         obs_l = self._obs
-        for j, old in enumerate(prev_pos):
-            if pos[j] != old:
-                pos[j] = old
-                entry[j] = obs_l[j].entry_port
-                mvs[j] -= 1
-
-    def _soa_reconstruct_movers(
-        self, prev_pos: List[int], movers_i: List[int], movers_p: List[int]
-    ) -> None:
-        """Append (rid, port) for every robot that has moved this round.
-
-        Called while the sweep is not tracking movers (so both lists are
-        empty), when a follow/meet-sleep appears mid-sweep or a round's
-        one-round follows need the full propagation.  With no self-loops
-        (port graphs reject them), ``pos != prev_pos`` is exactly "moved",
-        and the reverse of the entry edge -- the slot of the entry port at
-        the new node -- leads back through the departure port.
-        """
-        pos = self._pos
-        entry = self._entry
-        row = self._csr.row_offsets
-        ent = self._csr.entry_port
-        for j, old in enumerate(prev_pos):
-            new = pos[j]
-            if new != old:
-                movers_i.append(j)
-                movers_p.append(ent[row[new] + entry[j]])
+        for j in movers_i:
+            pos[j] = prev_pos[j]
+            entry[j] = obs_l[j].entry_port
+            mvs[j] -= 1
 
     def _soa_cold(
         self,
         i: int,
         action: Action,
         rnd: int,
-        track: bool,
-        movers_i: List[int],
-        movers_p: List[int],
         terminators: List[int],
-        followers_once: List[int],
-        once_leaders: List[int],
         deactivated: List[int],
         prev_pos: List[int],
-    ) -> bool:
-        """Everything the hot loop's dispatch does not cover: card/note-
-        carrying actions, sleeps, persistent follows, terminates, the first
-        step of a walk.
-
-        Returns the (possibly enabled) mover-tracking flag: persistent
-        follows and meet-sleeps need this round's movers, so if tracking is off
-        when one appears, the movers applied so far are reconstructed and
-        tracking stays on for the rest of the sweep.  A traced run records
-        ``note``, ``sleep`` and ``follow`` events here; its ``move`` events
-        are recorded after the round's follows resolve.
-        """
+    ) -> None:
+        """The sweep's actions that end a robot's activity: sleeps,
+        persistent follows and terminates.  A traced run records ``sleep``
+        and ``follow`` events here."""
         r = self.robots[i]
-        if action.card is not None:
-            self._soa_publish(i, action)
         trace = self.trace
-        if action.note and trace is not None:
-            trace.record(rnd, "note", r.label, action.note)
         kind = action.kind
-        if kind == MOVE:
-            p = action.port
-            pos = self._pos
-            node = pos[i]
-            deg = self._csr.degree
-            try:
-                ok = 0 <= p < deg[node]
-            except TypeError:  # port is None
-                ok = False
-            if not ok:
-                raise ProtocolViolation(
-                    f"robot {r.label}: invalid port {p} on a degree-"
-                    f"{deg[node]} node"
-                )
-            row = self._csr.row_offsets
-            j = row[node] + p
-            pos[i] = self._csr.neighbor[j]
-            self._entry[i] = self._csr.entry_port[j]
-            self._moves[i] += 1
-            if track:
-                movers_i.append(i)
-                movers_p.append(p)
-        elif kind == STAY:
-            pass
-        elif kind == SLEEP:
+        if kind == SLEEP:
             if action.wake_round is not None and action.wake_round <= rnd:
                 raise ProtocolViolation(
                     f"robot {r.label}: sleep until round {action.wake_round} "
@@ -964,9 +874,6 @@ class Scheduler:
             if action.wake_on_meet:
                 self._meet_sleepers += 1
                 self._meet_nodes = None
-                if not track:
-                    self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
-                    track = True
             if trace is not None:
                 trace.record(rnd, "sleep", r.label, action.wake_round)
         elif kind == FOLLOW:
@@ -981,43 +888,12 @@ class Scheduler:
             if action.wake_round is not None:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
             self._add_follower(r, action.target)
-            if not track:
-                self._soa_reconstruct_movers(prev_pos, movers_i, movers_p)
-                track = True
             if trace is not None:
                 trace.record(rnd, "follow", r.label, action.target)
-        elif kind == FOLLOW_ONCE:
-            self._soa_check_follow_target(i, action.target, prev_pos)
-            followers_once.append(i)
-            once_leaders.append(self.by_label[action.target].rid)
         elif kind == TERMINATE:
             terminators.append(i)
-        elif kind == WALK:
-            # take the first step now and hand the robot's send slot to a
-            # cursor that takes the rest (see _Walker)
-            offsets = action.offsets
-            s = action.steps
-            if s >= len(offsets):
-                raise ProtocolViolation(f"robot {r.label}: walk already complete")
-            csr = self._csr
-            pos = self._pos
-            node = pos[i]
-            if not s:
-                action.start = node
-            p = ((self._entry[i] if s else 0) + offsets[s]) % csr.degree[node]
-            j = csr.row_offsets[node] + p
-            pos[i] = csr.neighbor[j]
-            self._entry[i] = csr.entry_port[j]
-            self._moves[i] += 1
-            if track:
-                movers_i.append(i)
-                movers_p.append(p)
-            walker = _Walker(self, i, action, s + 1, self._obs[i].cards)
-            self._walkers[i] = walker
-            self._sends[i] = walker.step
         else:  # pragma: no cover - factory methods make this unreachable
             raise ProtocolViolation(f"robot {r.label}: unknown action kind {kind}")
-        return track
 
     def _soa_walk_stretch(self, rnd: int, end: int, posset: set) -> int:
         """Run rounds from ``rnd`` in which every active robot is a walker.
@@ -1073,7 +949,7 @@ class Scheduler:
             if walker.nodes is None:
                 walker.nodes, walker.ports = walk_table(self._csr, walker.offsets, walker.walk.start)
             nodes = walker.nodes
-            s = walker.steps  # >= 1: the cold path took the first step
+            s = walker.steps  # >= 1: _soa_start_walk took the first step
             if nodes[s - 1] != pos[i] or walker.ports[s - 1] != entry[i]:
                 return 0
             if len(nodes) - s < stop:
@@ -1152,64 +1028,40 @@ class Scheduler:
         self._riders = riders
         return riders
 
-    def _soa_resolve_follows(
+    def _soa_follow_roots(
         self,
         movers_i: List[int],
-        movers_p: List[int],
         followers_once: Sequence[int],
         once_leaders: Sequence[int],
-    ) -> None:
-        """Follow resolution + application.
+    ) -> Tuple[List[int], List[int]]:
+        """The followers that move this round, in label order, and the
+        mover at the root of each one's chain; the sweep applies them.
 
         Iterative forward propagation from this round's movers over the
-        leader->followers index: chains ending in a mover inherit its port;
-        chains ending anywhere else (stay, sleep, terminate, cycle) stay
-        put.  Follower moves apply after the (already-applied) movers, in
-        label order, and are appended to the mover lists as they apply; an
-        inherited port the follower's own node lacks raises the seed's
-        ``PortGraphError`` there, leaving the earlier followers applied.
+        leader->followers index and this round's one-round follows: a
+        chain that ends in a mover inherits its move; a chain that ends
+        anywhere else (stay, sleep, terminate, cycle) is never reached and
+        stays put.  Each robot follows at most one leader, so each
+        follower is reached at most once.
         """
         labels = self._labels
         followers_of = self._followers_of
         once_by_leader: Dict[int, List[int]] = {}
         for fid, lid in zip(followers_once, once_leaders):
             once_by_leader.setdefault(lid, []).append(fid)
-        assigned: List[Tuple[int, int]] = []
-        stack = list(zip(movers_i, movers_p))
-        while stack:
-            i, port = stack.pop()
-            fs = followers_of.get(labels[i])
-            if fs:
-                for f in fs:
-                    assigned.append((f.rid, port))
-                    stack.append((f.rid, port))
-            fids = once_by_leader.get(i)
-            if fids:
-                for fid in fids:
-                    assigned.append((fid, port))
-                    stack.append((fid, port))
-        if not assigned:
-            return
-        assigned.sort()  # rid order == label order
-        pos = self._pos
-        entry = self._entry
-        mvs = self._moves
-        row = self._csr.row_offsets
-        nbr = self._csr.neighbor
-        ent = self._csr.entry_port
-        deg = self._csr.degree
-        for fid, port in assigned:
-            node = pos[fid]
-            if not 0 <= port < deg[node]:
-                raise PortGraphError(
-                    f"node {node} has degree {deg[node]}; port {port} is invalid"
-                )
-            slot = row[node] + port
-            pos[fid] = nbr[slot]
-            entry[fid] = ent[slot]
-            mvs[fid] += 1
-            movers_i.append(fid)
-            movers_p.append(port)
+        found: List[Tuple[int, int]] = []
+        for root in movers_i:
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for f in followers_of.get(labels[i], ()):
+                    found.append((f.rid, root))
+                    stack.append(f.rid)
+                for fid in once_by_leader.get(i, ()):
+                    found.append((fid, root))
+                    stack.append(fid)
+        found.sort()  # rid order == label order
+        return [f for f, _ in found], [root for _, root in found]
 
     def _build_meet_nodes(self) -> set:
         """Rebuild the set of nodes holding a ``wake_on_meet`` sleeper."""

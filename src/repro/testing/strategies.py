@@ -9,11 +9,12 @@ draw from one vocabulary:
 * :func:`random_port_graph` — seeded connected port graphs across the
   library's generator families and port numberings;
 * :data:`step_strategy` / :data:`script_strategy` / :func:`scripts` —
-  scripted robot programs exercising every scheduler cold path (moves,
-  stays, sleeps, wake-on-meet, whiteboard cards, declared walks,
-  termination);
+  scripted robot programs exercising every kind of scheduler action
+  (moves, stays, sleeps, wake-on-meet, whiteboard cards on stays and
+  moves, trace notes, declared walks, termination);
 * :func:`follower_scripts` — whole fleets of such scripts that also follow
-  each other (persistent and one-round follows, chains, cycles);
+  each other (persistent and one-round follows, with or without a card,
+  chains, cycles);
 * :func:`scripted_factory` — compile a drawn script into a robot factory;
 * :func:`placements` — start nodes for ``k`` robots on a given graph;
 * :data:`fault_plan_strategy` — crash/delay tables in the
@@ -76,15 +77,19 @@ def random_port_graph(draw, min_n=4, max_n=12):
 # ---------------------------------------------------------------------------
 #: One scripted robot step.  Ports/wake delays are drawn wide and reduced
 #: modulo the local degree / rebased on the observed round at execution
-#: time, so every draw is valid on every graph.  A ``walk`` step declares
-#: a walk of UXS offsets (:meth:`Action.walk`) and yields it again after
-#: every hand-back until it completes.
+#: time, so every draw is valid on every graph.  ``card`` is a stay that
+#: publishes a card, ``card_move`` a move that does, and ``note`` a stay
+#: with a trace note.  A ``walk`` step declares a walk of UXS offsets
+#: (:meth:`Action.walk`) and yields it again after every hand-back until
+#: it completes.
 step_strategy = st.one_of(
     st.tuples(st.just("move"), st.integers(0, 7)),
     st.tuples(st.just("stay")),
     st.tuples(st.just("sleep"), st.integers(0, 9)),
     st.tuples(st.just("sleep_meet"), st.integers(0, 9)),
     st.tuples(st.just("card"), st.integers(0, 3)),
+    st.tuples(st.just("card_move"), st.integers(0, 7), st.integers(0, 3)),
+    st.tuples(st.just("note"), st.integers(0, 3)),
     st.tuples(st.just("walk"), st.lists(st.integers(0, 7), min_size=1, max_size=12).map(tuple)),
 )
 
@@ -104,8 +109,9 @@ def follower_scripts(k: int, max_size: int = 10):
     Steps are :data:`step_strategy`'s plus follows, each targeting another
     robot's label: persistent ``follow`` (untimed, or timed by a delay
     rebased like a sleep's; ``on_leader_terminate`` ``"terminate"`` or
-    ``"wake"``) and one-round ``follow_once``.  Targets need not be
-    co-located, so run these with ``strict=False``.
+    ``"wake"``) and one-round ``follow_once``, with or without a card
+    (``card_follow_once``).  Targets need not be co-located, so run these
+    with ``strict=False``.
     """
 
     def script(label: int):
@@ -118,6 +124,7 @@ def follower_scripts(k: int, max_size: int = 10):
                 st.sampled_from(["terminate", "wake"]),
             ),
             st.tuples(st.just("follow_once"), others),
+            st.tuples(st.just("card_follow_once"), others, st.integers(0, 3)),
         )
         return st.lists(st.one_of(step_strategy, follow), min_size=1, max_size=max_size)
 
@@ -147,6 +154,10 @@ def scripted_factory(script):
                     obs = yield Action.sleep(obs.round + 1 + step[1], wake_on_meet=True)
                 elif kind == "card":
                     obs = yield Action.stay(card={"v": step[1]})
+                elif kind == "card_move":
+                    obs = yield Action.move(step[1] % obs.degree, card={"v": step[2]})
+                elif kind == "note":
+                    obs = yield Action.stay(note=f"note {step[1]}")
                 elif kind == "follow":
                     until = None if step[2] is None else obs.round + 1 + step[2]
                     obs = yield Action.follow(
@@ -154,6 +165,8 @@ def scripted_factory(script):
                     )
                 elif kind == "follow_once":
                     obs = yield Action.follow_once(step[1])
+                elif kind == "card_follow_once":
+                    obs = yield Action.follow_once(step[1], card={"v": step[2]})
                 elif kind == "walk":
                     walk = Action.walk(step[1])
                     while walk.steps < len(step[1]):

@@ -224,6 +224,26 @@ class TestWorker:
         for outcome in execute(specs, engine="batch-numpy").outcomes:
             assert cache.get(outcome.spec).to_dict() == outcome.run.to_dict()
 
+    def test_cell_written_by_a_rival_before_the_claim_is_not_run_again(self, tmp_path):
+        """A rival worker can write a cell and release its lease between
+        this worker's cache check and its claim; the claim then succeeds,
+        and the worker must find the record instead of running the cell."""
+        manifest = CampaignManifest.from_specs(grid((6,)))
+        rival = ResultCache(tmp_path)
+
+        class RivalWritesDuringTheClaimDelay:
+            def delay_claim(self, key):
+                (cell,) = [c for c in manifest.cells if c.key == key]
+                rival.put(cell.spec, SerialExecutor().run([cell.spec])[0].run)
+
+            def trip(self, point, key):
+                pass
+
+        stats = run_worker(manifest, ResultCache(tmp_path),
+                           chaos=RivalWritesDuringTheClaimDelay(), idle_timeout=1)
+        assert (stats.executed, stats.cache_hits) == (0, 1)
+        assert status_of(manifest, tmp_path).claimed == 0
+
     def test_multiprocess_campaign_completes(self, tmp_path):
         manifest = CampaignManifest.from_specs(grid((6, 8, 10)))
         stats = run_campaign(manifest, tmp_path, workers=2, idle_timeout=2)

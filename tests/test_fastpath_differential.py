@@ -137,9 +137,9 @@ def run_both_untraced(
 ):
     """Differential run with ``trace=None`` — the untraced SoA frame.
 
-    A traced round tracks its movers from round start and runs no walk
-    stretch, so :func:`run_both` alone would never execute the untraced
-    sweep; this variant compares everything *except* traces (positions,
+    A traced round records its events and runs no walk stretch, so
+    :func:`run_both` alone would never execute an untraced round; this
+    variant compares everything *except* traces (positions,
     round counter, statuses, full metrics).  Activation models are
     stateful, so each scheduler gets a fresh one.
     """
@@ -631,10 +631,9 @@ def test_follower_scripts_untraced_bit_identical(graph_pick, scripts, data):
 # ---------------------------------------------------------------------------
 # Untraced differential: the SoA hot loop on real algorithms
 # ---------------------------------------------------------------------------
-# The matrix tests above are traced, and a traced round tracks its movers
-# from round start and runs no walk stretch; these repeat representative
-# workloads with trace=None, where movers are tracked only for followers and
-# meet-sleepers and walkers run whole stretches, and compare
+# The matrix tests above are traced, and a traced round records its events
+# and runs no walk stretch; these repeat representative workloads with
+# trace=None, where walkers run whole stretches, and compare
 # positions/statuses/round/metrics.
 
 
@@ -756,9 +755,8 @@ def test_incremental_steps_through_step_general_once_per_step(general_steps):
 
 
 def test_follow_cascade_untraced_soa():
-    """The SoA cold paths: follow mid-sweep (mover reconstruction),
-    cascade, woken-early bookkeeping — without a trace, which would track
-    the movers from round start."""
+    """The SoA cold paths: follow mid-sweep (after earlier movers of the
+    same sweep), cascade, woken-early bookkeeping — on untraced rounds."""
     g = gg.ring(8)
 
     def leader(ctx):
@@ -1057,7 +1055,7 @@ def test_new_meet_sleeper_wakes_after_node_set_built_untraced_soa(general_steps)
 
 
 def test_meet_sleep_mid_sweep_untraced_soa():
-    """A wake_on_meet sleep appearing mid-SoA-round must reconstruct this
+    """A wake_on_meet sleep appearing mid-SoA-round must still see this
     round's earlier inline movers for arrival detection."""
     g = gg.path(5)
 

@@ -124,8 +124,9 @@ class TestSharedActions:
             lambda: Action.move(0, note="n"),
             lambda: Action.stay(card={"x": 1}),
             lambda: Action.stay(note="n"),
+            lambda: Action.walk((1, 2)),
         ],
-        ids=["move_card", "move_note", "stay_card", "stay_note"],
+        ids=["move_card", "move_note", "stay_card", "stay_note", "walk"],
     )
     def test_card_or_note_actions_are_new(self, build):
         a, b = build(), build()
